@@ -1,13 +1,17 @@
-"""Exact integer and rational dense linear algebra.
+"""Exact integer and rational dense linear algebra, with integer arithmetic only.
 
-Everything here works on plain lists of lists.  Integer matrices use
-Bareiss fraction-free elimination for determinants; rational work uses
-``fractions.Fraction`` throughout, so results are exact and canonical
-(positive denominator, reduced) by construction.
+Everything here works on plain lists of lists.  Determinants use
+Bareiss fraction-free elimination.  ``gauss_solve`` scales each
+equation to integers and runs fraction-free Gauss-Jordan, whose
+divisions by the previous pivot are exact; ``Fraction`` appears only in
+its answer, one reduced value per unknown.  ``smith_normal_form``
+carries the inverses of its transforms alongside them and proves U and
+V unimodular by checking U U_inv = I and V V_inv = I.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,23 +21,31 @@ def identity(n):
 
 
 def mat_mul(A, B):
-    n, k = len(A), len(A[0]) if A else 0
-    m = len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] += a * Bt[j]
+    return [_row_times(Ai, B) for Ai in A]
+
+
+def _row_times(v, B):
+    """The row vector v @ B, skipping zero entries of v."""
+    out = [0] * (len(B[0]) if B else 0)
+    for a, Bt in zip(v, B):
+        if a:
+            out = [x + a * y for x, y in zip(out, Bt)]
     return out
 
 
 def transpose(A):
     return [list(col) for col in zip(*A)]
+
+
+def _integer_row(row):
+    """(scale * row, scale) with scale the lcm of the entries' denominators."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    scale = 1
+    # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
+    for x in row:
+        if x.denominator != 1:
+            scale = math.lcm(scale, x.denominator)
+    return [int(x * scale) for x in row], scale
 
 
 @dataclass
@@ -48,26 +60,40 @@ class GaussResult:
 def gauss_solve(A, b):
     """Solve A x = b exactly over the rationals.
 
-    A is a (possibly rectangular) matrix, b a column given as a list.
-    Returns a GaussResult classifying solvability; the solution, when
-    unique, satisfies A x = b exactly.
+    A is a (possibly rectangular) matrix, b a column given as a list;
+    entries may be integers or Fractions.  Each equation is scaled to
+    integers by the lcm of its denominators, then eliminated with
+    fraction-free (Bareiss) Gauss-Jordan: every entry stays a minor of
+    the scaled system, so each division by the previous pivot is exact,
+    rows without an entry in the pivot column included.  Returns a GaussResult classifying solvability; the
+    solution, when unique, is one reduced Fraction per unknown and
+    satisfies A x = b exactly.
     """
     n = len(A)
     m = len(A[0]) if n else 0
-    M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
+    M = [_integer_row([*row, rhs])[0] for row, rhs in zip(A, b)]
     pivots = []  # (row, col)
+    prev = 1
     r = 0
     for c in range(m):
-        pr = next((i for i in range(r, n) if M[i][c] != 0), None)
+        pr = next((i for i in range(r, n) if M[i][c]), None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
+        top = M[r]
+        pv = top[c]
+        tail = top[c + 1:]
         for i in range(n):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+            if i == r:
+                continue
+            row = M[i]
+            f = row[c]
+            if f:
+                row[c + 1:] = [(pv * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+                row[c] = 0
+            elif pv != prev:
+                row[c + 1:] = [pv * x // prev for x in row[c + 1:]]
+        prev = pv
         pivots.append((r, c))
         r += 1
         if r == n:
@@ -78,9 +104,10 @@ def gauss_solve(A, b):
             return GaussResult("no_solution", None, rank)
     if rank < m:
         return GaussResult("non_unique", None, rank)
-    x = [Fraction(0)] * m
+    # Gauss-Jordan leaves every pivot row with the last pivot on its diagonal
+    x = [None] * m
     for i, c in pivots:
-        x[c] = M[i][m]
+        x[c] = Fraction(M[i][m], prev)
     return GaussResult("unique", x, rank)
 
 
@@ -92,7 +119,11 @@ def rank(A):
 
 
 def determinant(A):
-    """Exact determinant of a square matrix (integer or rational entries)."""
+    """Exact determinant of a square matrix (integer or rational entries).
+
+    Rational rows are scaled to integers first; the Bareiss determinant
+    of the scaled matrix is then divided by the product of the scales.
+    """
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("determinant of a non-square matrix")
@@ -100,7 +131,8 @@ def determinant(A):
         return 1
     if all(isinstance(x, int) for row in A for x in row):
         return _bareiss(A)
-    return _fraction_det(A)
+    rows, scales = zip(*map(_integer_row, A))
+    return Fraction(_bareiss(list(rows)), math.prod(scales))
 
 
 def _bareiss(A):
@@ -124,33 +156,18 @@ def _bareiss(A):
     return sign * M[n - 1][n - 1]
 
 
-def _fraction_det(A):
-    M = [[Fraction(x) for x in row] for row in A]
-    n = len(M)
-    det = Fraction(1)
-    for k in range(n):
-        pr = next((i for i in range(k, n) if M[i][k] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != k:
-            M[k], M[pr] = M[pr], M[k]
-            det = -det
-        det *= M[k][k]
-        inv = 1 / M[k][k]
-        for i in range(k + 1, n):
-            if M[i][k] != 0:
-                f = M[i][k] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[k])]
-    return det
-
-
 @dataclass
 class SmithForm:
-    """U @ M @ V = D with U, V unimodular and D = diag(d_1 | d_2 | ...)."""
+    """U @ M @ V = D with U, V unimodular and D = diag(d_1 | d_2 | ...).
+
+    U_inv and V_inv are the integer inverses of U and V.
+    """
 
     diagonal: list  # length min(rows, cols), d_k >= 0, d_k | d_{k+1}
     U: list
     V: list
+    U_inv: list
+    V_inv: list
 
     @property
     def rank(self):
@@ -162,41 +179,53 @@ class SmithForm:
 
 
 def smith_normal_form(M):
-    """Smith normal form of an integer matrix, with transforms.
+    """Smith normal form of an integer matrix, with transforms and their inverses.
 
-    The returned form is re-verified on every call: U M V is recomputed
-    and compared against the diagonal, the divisibility chain is
-    checked, and |det U| = |det V| = 1 is confirmed.
+    Every elementary row operation applied to U is undone on the columns
+    of U_inv, and every column operation applied to V on the rows of
+    V_inv, so the inverses cost no elimination.  The returned form is
+    re-verified on every call: U M V is recomputed and compared against
+    the diagonal, the divisibility chain is checked, and U U_inv = I and
+    V V_inv = I are confirmed.  An integer matrix with an integer inverse
+    has determinant +-1, so this proves both transforms unimodular.
     """
     n = len(M)
     m = len(M[0]) if n else 0
     A = [[int(x) for x in row] for row in M]
-    U = identity(n)
-    V = identity(m)
+    U, U_inv = identity(n), identity(n)
+    V, V_inv = identity(m), identity(m)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
+        for row in U_inv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
+        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
 
     def add_row(dst, src, q):
         A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
         U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+        for row in U_inv:
+            row[src] -= q * row[dst]
 
     def add_col(dst, src, q):
         for row in A:
             row[dst] += q * row[src]
         for row in V:
             row[dst] += q * row[src]
+        V_inv[src] = [x - q * y for x, y in zip(V_inv[src], V_inv[dst])]
 
     def negate_row(i):
         A[i] = [-x for x in A[i]]
         U[i] = [-x for x in U[i]]
+        for row in U_inv:
+            row[i] = -row[i]
 
     t = 0
     while t < min(n, m):
@@ -247,39 +276,28 @@ def smith_normal_form(M):
         t += 1
 
     diagonal = [A[k][k] for k in range(min(n, m))]
-    _verify_smith(M, diagonal, U, V)
-    return SmithForm(diagonal, U, V)
+    _verify_smith(M, diagonal, U, V, U_inv, V_inv)
+    return SmithForm(diagonal, U, V, U_inv, V_inv)
 
 
-def _verify_smith(M, diagonal, U, V):
-    n = len(M)
-    m = len(M[0]) if n else 0
-    D = mat_mul(mat_mul(U, M), V)
-    for i in range(n):
-        for j in range(m):
-            want = diagonal[i] if i == j and i < len(diagonal) else 0
-            if D[i][j] != want:
-                raise AssertionError("smith normal form verification failed: U M V != D")
+def _verify_smith(M, diagonal, U, V, U_inv, V_inv):
+    """Check U M V = D, the divisibility chain, U U_inv = I and V V_inv = I.
+
+    Every product is formed one row at a time, so no n x n product or
+    identity matrix is built.
+    """
+    m = len(M[0]) if M else 0
+    for i, Ui in enumerate(U):
+        want = [0] * m
+        if i < len(diagonal):
+            want[i] = diagonal[i]
+        if _row_times(_row_times(Ui, M), V) != want:
+            raise AssertionError("smith normal form verification failed: U M V != D")
     for a, b in zip(diagonal, diagonal[1:]):
         if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
             raise AssertionError("smith normal form divisibility chain broken")
-    if abs(determinant(U)) != 1 or abs(determinant(V)) != 1:
-        raise AssertionError("smith normal form transforms are not unimodular")
-
-
-def invert_unimodular(U):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    n = len(U)
-    out = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        res = gauss_solve(U, e)
-        if res.status != "unique":
-            raise ValueError("matrix is singular")
-        col = []
-        for x in res.solution:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            col.append(int(x))
-        out.append(col)
-    return transpose(out)
+    for P, P_inv in ((U, U_inv), (V, V_inv)):
+        for i, Pi in enumerate(P):
+            row = _row_times(Pi, P_inv)
+            if row[i] != 1 or any(row[:i]) or any(row[i + 1:]):
+                raise AssertionError("smith normal form transforms are not unimodular")

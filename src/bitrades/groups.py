@@ -10,16 +10,9 @@ rank and invariant factors via Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import COL, ROW, SYM, metrics
-from .exact import (
-    determinant,
-    gauss_solve,
-    invert_unimodular,
-    rank,
-    smith_normal_form,
-)
+from .exact import determinant, mat_mul, rank, smith_normal_form
 from .solver import all_labels
 
 
@@ -103,7 +96,8 @@ def canonical_images(T):
                 images[p.row], images[p.col], images[p.sym], moduli
             )
         )
-        assert all(v == 0 for v in combined), f"additive law fails at {p}"
+        if any(combined):
+            raise AssertionError(f"additive law fails at {p}")
     free = m - snf.rank
     return CanonicalImages(
         AbelianGroupStructure(free, tuple(snf.invariant_factors)), images, moduli
@@ -123,58 +117,53 @@ def is_abelian_embeddable(T):
     return True, None
 
 
-def _lattice_basis(generators):
-    """Basis rows of the lattice spanned by integer generator rows."""
-    snf = smith_normal_form(generators)
-    vinv = invert_unimodular(snf.V)
-    basis = []
-    for k, d in enumerate(snf.diagonal):
-        if d != 0:
-            basis.append([d * x for x in vinv[k]])
-    return basis
-
-
-def _in_basis(basis, row):
-    """Integer coordinates of row in the given lattice basis."""
-    res = gauss_solve([list(col) for col in zip(*basis)], row)
-    assert res.status == "unique"
-    coords = []
-    for x in res.solution:
-        assert x.denominator == 1, "row is not in the lattice"
-        coords.append(int(x))
-    return coords
-
-
 def subgroup_H(T):
     """Structure of H(T), the within-role difference subgroup of G(T).
 
     H = (L + N) / N where N is the row lattice of B and L is generated
-    by the differences e_{b_i} - e_{a_i} for a fixed base star triple a
-    and i ranging over the row and column coordinates.
+    by the differences e_b - e_a of the row labels, and of the column
+    labels, against those of a fixed base star triple a.  With
+    U gens V = D the Smith form of the generators of L + N, the rows
+    d_k (V^-1)_k with d_k != 0 are a basis of L + N, and a row r of B
+    has coordinates (r V)_k / d_k in it.  So H is presented by the
+    columns of B V with d_k != 0, each divided exactly by its d_k; a
+    nonzero remainder, or a nonzero entry where d_k = 0, means r is not
+    in the lattice and raises AssertionError.  (Z^m / (L + N) is G / H.
+    It is generated by the classes of one row and one column label, and
+    rows -> (1, 0), columns -> (0, 1), symbols -> (1, 1) maps it onto
+    Z^2, so it is free and every nonzero d_k is 1; the division stays
+    as a check.)
     """
     B, labels = relation_matrix(T)
     m = len(labels)
     col_of = {lab: j for j, lab in enumerate(labels)}
     base = T.star[0]
     gens = [row[:] for row in B]
-    for p in T.star:
-        for i in (ROW, COL):
-            if p[i] != base[i]:
+    for i in (ROW, COL):
+        for lab in dict.fromkeys(p[i] for p in T.star):
+            if lab != base[i]:
                 row = [0] * m
-                row[col_of[p[i]]] = 1
-                row[col_of[base[i]]] -= 1
+                row[col_of[lab]] = 1
+                row[col_of[base[i]]] = -1
                 gens.append(row)
 
-    L = _lattice_basis(gens)  # basis of L + N
-    C = [_in_basis(L, row) for row in B]  # N's generators in that basis
-    snf = smith_normal_form(C)
-    free = len(L) - snf.rank
-    H = AbelianGroupStructure(free, tuple(snf.invariant_factors))
+    snf = smith_normal_form(gens)
+    diag = snf.diagonal + [0] * (m - len(snf.diagonal))
+    C = []
+    for rV in mat_mul(B, snf.V):
+        if any(v % d if d else v for v, d in zip(rV, diag)):
+            raise AssertionError("relation row is not in the lattice L + N")
+        C.append([v // d for v, d in zip(rV, diag) if d])
+    H_snf = smith_normal_form(C)
+    H = AbelianGroupStructure(snf.rank - H_snf.rank, tuple(H_snf.invariant_factors))
     if metrics(T).spherical:
         G = presentation(T)
-        assert H.free_rank == 0, "H must be finite for a spherical bitrade"
-        assert H.invariant_factors == G.invariant_factors
-        assert G.free_rank == 2
+        if H.free_rank != 0:
+            raise AssertionError("H must be finite for a spherical bitrade")
+        if H.invariant_factors != G.invariant_factors:
+            raise AssertionError("H must equal the torsion of G for a spherical bitrade")
+        if G.free_rank != 2:
+            raise AssertionError("G must have free rank 2 for a spherical bitrade")
     return H
 
 

@@ -9,6 +9,7 @@ integer homotopies into cyclic groups.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,7 +88,8 @@ class Solution:
 
     def width(self):
         """Least common multiple of the value denominators (always >= 2)."""
-        n = math.lcm(*(v.denominator for v in self.values.values()))
+        # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
+        n = functools.reduce(math.lcm, (v.denominator for v in self.values.values()), 1)
         assert n >= 2, "solution width must be at least 2"
         return n
 

@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rational_oracle
 from bitrades.exact import (
+    _verify_smith,
     determinant,
     gauss_solve,
-    invert_unimodular,
     mat_mul,
     rank,
     smith_normal_form,
     transpose,
 )
+from rational_oracle import invert_unimodular
 
 
 def cofactor_det(A):
@@ -32,6 +34,23 @@ def square_matrices(n, lo=-6, hi=6):
     return st.lists(
         st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
     )
+
+
+def matrices(n, m, entry):
+    return st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)
+
+
+small_ints = st.integers(-5, 5)
+small_rationals = st.one_of(
+    small_ints, st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+def assert_same_as_oracle(A, b):
+    got, want = gauss_solve(A, b), rational_oracle.gauss_solve(A, b)
+    assert (got.status, got.rank, got.solution) == (want.status, want.rank, want.solution)
+    if got.solution is not None:
+        assert all(type(x) is Fraction for x in got.solution)
 
 
 class TestGaussSolve:
@@ -64,6 +83,45 @@ class TestGaussSolve:
         if res.status == "unique":
             for row, bi in zip(A, b):
                 assert sum(a * xi for a, xi in zip(row, res.solution)) == bi
+
+
+class TestGaussSolveAgainstRationalOracle:
+    """The fraction-free solve gives the rational solve's status, rank and solution."""
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_rectangular(self, n, m, rational, data):
+        entry = small_rationals if rational else small_ints
+        A = data.draw(matrices(n, m, entry))
+        b = data.draw(st.lists(entry, min_size=n, max_size=n))
+        assert_same_as_oracle(A, b)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3), st.booleans(),
+           st.sampled_from(["consistent", "perturbed", "zero"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_deficient(self, n, m, k, rational, rhs, data):
+        # A = C R has rank at most k; b = A x is consistent, b + e usually not
+        entry = small_rationals if rational else small_ints
+        k = min(k, n, m)
+        C = data.draw(matrices(n, k, small_ints))
+        R = data.draw(matrices(k, m, entry))
+        A = [[sum((c * r[j] for c, r in zip(Ci, R)), Fraction(0)) for j in range(m)]
+             for Ci in C]
+        if not rational:
+            A = [[int(x) for x in row] for row in A]
+        x = data.draw(st.lists(entry, min_size=m, max_size=m))
+        b = [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in A]
+        if rhs == "perturbed":
+            b[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-1, 1]))
+        elif rhs == "zero":
+            b = [0] * n
+        assert_same_as_oracle(A, b)
+
+    def test_degenerate_shapes(self):
+        assert_same_as_oracle([], [])
+        assert_same_as_oracle([[]], [1])
+        assert_same_as_oracle([[0, 0], [0, 0]], [0, 0])
+        assert_same_as_oracle([[0, 0], [0, 0]], [0, Fraction(1, 3)])
 
 
 class TestDeterminant:
@@ -135,12 +193,34 @@ class TestSmithNormalForm:
 
     def test_transforms_are_invertible(self):
         snf = smith_normal_form([[6, 10], [15, 4]])
-        for M in (snf.U, snf.V):
+        for M, carried in ((snf.U, snf.U_inv), (snf.V, snf.V_inv)):
             inv = invert_unimodular(M)
             n = len(M)
             assert mat_mul(M, inv) == [
                 [1 if i == j else 0 for j in range(n)] for i in range(n)
             ]
+            assert carried == inv
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_carried_inverses_match_oracle(self, n, m, data):
+        snf = smith_normal_form(data.draw(matrices(n, m, st.integers(-9, 9))))
+        assert snf.U_inv == invert_unimodular(snf.U)
+        assert snf.V_inv == invert_unimodular(snf.V)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(),
+           st.integers(-3, 3).filter(bool), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rejects_corrupted_inverse(self, n, m, corrupt_u, delta, data):
+        M = data.draw(matrices(n, m, st.integers(-9, 9)))
+        snf = smith_normal_form(M)
+        inverses = [[row[:] for row in snf.U_inv], [row[:] for row in snf.V_inv]]
+        target = inverses[0 if corrupt_u else 1]
+        i = data.draw(st.integers(0, len(target) - 1))
+        j = data.draw(st.integers(0, len(target) - 1))
+        target[i][j] += delta
+        with pytest.raises(AssertionError, match="not unimodular"):
+            _verify_smith(M, snf.diagonal, snf.U, snf.V, *inverses)
 
 
 class TestInvertUnimodular:

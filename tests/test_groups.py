@@ -1,6 +1,18 @@
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
-from bitrades.core import COL, ROW, SYM, metrics
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bitrades
+import rational_oracle
+from bitrades import groups
+from bitrades.core import COL, ROW, SYM, Label, Triple, build_bitrade, metrics
+from bitrades.exact import SmithForm, smith_normal_form
 from bitrades.groups import (
     canonical_images,
     check_det_invariance,
@@ -68,6 +80,91 @@ class TestSubgroupH:
             assert H.free_rank == 0
             assert H.invariant_factors == G.invariant_factors
             assert G.free_rank == 2
+
+
+def cayley_bitrade(n, k, names, order):
+    """Z_n Cayley table, star (i, j, i+j) and delta (i, j, i+j+k), relabelled.
+
+    names[role][i] and order[role][i] give label i of each role a fresh
+    name and a fresh position in its universe.
+    """
+    labels = [
+        [Label(role, order[role][i], names[role][i]) for i in range(n)]
+        for role in (ROW, COL, SYM)
+    ]
+
+    def table(shift):
+        return [
+            Triple(labels[ROW][i], labels[COL][j], labels[SYM][(i + j + shift) % n])
+            for i in range(n)
+            for j in range(n)
+        ]
+
+    return build_bitrade(table(0), table(k))
+
+
+@st.composite
+def renamed_cayley(draw):
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+    names = [
+        draw(st.lists(st.text("abcxyz0123", min_size=1, max_size=3),
+                      min_size=n, max_size=n, unique=True))
+        for _ in range(3)
+    ]
+    order = [draw(st.permutations(range(n))) for _ in range(3)]
+    return n, cayley_bitrade(n, k, names, order)
+
+
+class TestSubgroupHAgainstRationalOracle:
+    """H from B V equals H from an explicit lattice basis and rational solves."""
+
+    def test_corpus(self, spherical_corpus, toroidal, toroidal_swapped):
+        for T in list(spherical_corpus.values()) + [toroidal, toroidal_swapped]:
+            assert subgroup_H(T) == rational_oracle.subgroup_H(T)
+
+    @given(renamed_cayley())
+    @settings(max_examples=25, deadline=None)
+    def test_cayley_tables_under_renaming(self, case):
+        n, T = case
+        H = subgroup_H(T)
+        assert H == rational_oracle.subgroup_H(T)
+        assert H.free_rank == 0 and H.order == n
+
+    def test_exact_division_is_checked(self, ex45, monkeypatch):
+        # a Smith form of the generators whose diagonal is doubled no longer
+        # divides the coordinates of the relation rows
+        def doubled(M):
+            snf = smith_normal_form(M)
+            monkeypatch.setattr(groups, "smith_normal_form", smith_normal_form)
+            return SmithForm([2 * d for d in snf.diagonal], snf.U, snf.V,
+                             snf.U_inv, snf.V_inv)
+
+        monkeypatch.setattr(groups, "smith_normal_form", doubled)
+        with pytest.raises(AssertionError, match="not in the lattice"):
+            subgroup_H(ex45)
+
+
+def test_spherical_H_check_survives_optimize_flag():
+    # under python -O a bare assert vanishes; the H = torsion(G) check must not
+    script = textwrap.dedent("""
+        from bitrades import corpus, groups
+        assert False, "asserts are on"
+        groups.presentation = lambda T: groups.AbelianGroupStructure(2, (3,))
+        try:
+            groups.subgroup_H(corpus.example_4x5())
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("no error")
+    """)
+    src = str(Path(bitrades.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: H must equal the torsion of G")
 
 
 class TestCanonicalImages:
