@@ -6,6 +6,7 @@ from .core import (
     Bitrade,
     BitradeError,
     EmptyInput,
+    InternalCheckFailed,
     Label,
     NotSeparated,
     Triple,

@@ -1,7 +1,8 @@
 """Command-line front end for batch bitrade analysis.
 
 Exit codes: 0 success, 2 axiom violation, 3 parse/usage error,
-4 singular pointed system, 5 solution not separated.
+4 singular pointed system, 5 solution not separated, 6 internal check
+failed (a run-time self-check of a proven property did not hold).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_AXIOM = 2
 EXIT_PARSE = 3
 EXIT_SINGULAR = 4
 EXIT_NOT_SEPARATED = 5
+EXIT_INTERNAL = 6
 
 
 def _load(path):
@@ -322,6 +324,9 @@ def main(argv=None):
     except geometry.NotSeparatedSolution as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_SEPARATED
+    except core.InternalCheckFailed as e:
+        print(f"error: internal check failed: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

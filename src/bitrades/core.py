@@ -25,6 +25,10 @@ class EmptyInput(BitradeError):
     pass
 
 
+class InternalCheckFailed(BitradeError):
+    """A run-time self-check failed: a proven property of a result did not hold."""
+
+
 class NotSeparated(BitradeError):
     pass
 
@@ -269,10 +273,12 @@ def is_indecomposable(T):
 def is_separated_bitrade(T):
     """True iff every label's star triples form a single tau cycle."""
     for role in (ROW, COL, SYM):
+        carrying = {}
+        for p in T.star:
+            carrying.setdefault(p[role], []).append(p)
         for lab in T.universe(role):
-            carrying = [p for p in T.star if p[role] == lab]
-            cycle = tau_cycle(T, role, carrying[0])
-            if set(cycle) != set(carrying):
+            group = carrying[lab]
+            if set(tau_cycle(T, role, group[0])) != set(group):
                 return False
     return True
 

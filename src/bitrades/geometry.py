@@ -5,6 +5,18 @@ by the lines y = row value, x = col value, x + y = sym value.  For a
 spherical bitrade with a separated solution these triangles dissect the
 outer triangle of the pivot.  The reverse direction recovers a pointed
 bitrade from a dissection.
+
+The tiling verifier works on the three line values (h, v, d) alone.  An
+upright triangle (d > h + v) is the open set y > h, x > v, x + y < d; an
+inverted one (d < h + v) is y < h, x < v, x + y > d.  Eliminating x and
+y from the six strict half-planes of two such triangles (Fourier-Motzkin)
+leaves one test per orientation pair: two upright triangles overlap iff
+max(h) + max(v) < min(d); two inverted ones iff min(h) + min(v) > max(d);
+an upright u and an inverted w iff u.h < w.h, u.v < w.v and w.d < u.d.
+A triangle lies in the outer one iff its three corners satisfy the outer
+triangle's three closed half-planes, since both are convex.  Every test
+is a strict or non-strict comparison of sums of Fractions, so the
+verdicts are exact, touching edges and shared vertices included.
 """
 
 from __future__ import annotations
@@ -13,7 +25,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import COL, ROW, SYM, BitradeError, Label, Triple, build_bitrade
+from .core import (
+    COL,
+    ROW,
+    SYM,
+    BitradeError,
+    InternalCheckFailed,
+    Label,
+    Triple,
+    build_bitrade,
+)
 from .solver import PointedBitrade, is_separated_solution
 
 
@@ -80,41 +101,6 @@ def outer_triangle(sol):
     return TriangleGeom(a, (v[a.row], v[a.col], v[a.sym]))
 
 
-def polygon_area(points):
-    """Signed shoelace area (positive = counterclockwise)."""
-    total = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(points, points[1:] + points[:1]):
-        total += x1 * y2 - x2 * y1
-    return total / 2
-
-
-def clip_polygon(subject, clipper):
-    """Intersection of a polygon with a convex polygon (exact arithmetic)."""
-    if polygon_area(clipper) < 0:
-        clipper = clipper[::-1]
-    output = list(subject)
-    for (ax, ay), (bx, by) in zip(clipper, clipper[1:] + clipper[:1]):
-        if not output:
-            break
-        def side(p):
-            return (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
-        result = []
-        for p, q in zip(output, output[1:] + output[:1]):
-            sp, sq = side(p), side(q)
-            if sp >= 0:
-                result.append(p)
-            if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-                t = sp / (sp - sq)
-                result.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        output = result
-    return output
-
-
-def interiors_overlap(t1, t2):
-    clipped = clip_polygon(list(t1.corners), list(t2.corners))
-    return len(clipped) >= 3 and polygon_area(clipped) != 0
-
-
 @dataclass(frozen=True)
 class DissectionReport:
     contained: bool
@@ -150,32 +136,41 @@ def _contiguous(intervals):
     return True
 
 
+def _contains(outer, tri):
+    """Do all corners of tri lie in the closed outer triangle?
+
+    A degenerate outer triangle is a single point.
+    """
+    h, v, d = outer.lines
+    if d < h + v:
+        return all(y <= h and x <= v and x + y >= d for x, y in tri.corners)
+    return all(y >= h and x >= v and x + y <= d for x, y in tri.corners)
+
+
+def _overlap(t1, t2):
+    """Do the interiors of two non-degenerate triangles meet?"""
+    (h1, v1, d1), (h2, v2, d2) = t1.lines, t2.lines
+    up1, up2 = d1 > h1 + v1, d2 > h2 + v2
+    if up1 and up2:
+        return max(h1, h2) + max(v1, v2) < min(d1, d2)
+    if not (up1 or up2):
+        return min(h1, h2) + min(v1, v2) > max(d1, d2)
+    if up2:
+        (h1, v1, d1), (h2, v2, d2) = (h2, v2, d2), (h1, v1, d1)
+    return h1 < h2 and v1 < v2 and d2 < d1
+
+
 def verify_dissection(sol, tris=None):
     """Check that the triangles of a solution dissect the outer triangle."""
     if tris is None:
         tris = triangles(sol)
     sigma = outer_triangle(sol)
-    sigma_poly = list(sigma.corners)
-    non_degenerate = all(not t.degenerate for t in tris)
-
-    contained = True
-    for t in tris:
-        if t.degenerate:
-            continue
-        clipped = clip_polygon(list(t.corners), sigma_poly)
-        if abs(polygon_area(clipped)) != t.area:
-            contained = False
-            break
-
-    pairwise_disjoint = True
     solid = [t for t in tris if not t.degenerate]
-    for i, t1 in enumerate(solid):
-        for t2 in solid[i + 1:]:
-            if interiors_overlap(t1, t2):
-                pairwise_disjoint = False
-                break
-        if not pairwise_disjoint:
-            break
+    non_degenerate = len(solid) == len(tris)
+    contained = all(_contains(sigma, t) for t in solid)
+    pairwise_disjoint = not any(
+        _overlap(t1, t2) for i, t1 in enumerate(solid) for t2 in solid[i + 1:]
+    )
 
     area_total = sum((t.area for t in tris), Fraction(0))
 
@@ -215,7 +210,7 @@ def dissect(sol):
     tris = triangles(sol)
     report = verify_dissection(sol, tris)
     if not report.is_dissection:
-        raise BitradeError(
+        raise InternalCheckFailed(
             "separated solution did not produce a dissection; "
             f"report: {report}"
         )

@@ -14,7 +14,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import COL, ROW, SYM, Bitrade, BitradeError, Label, Triple, metrics
+from .core import (
+    COL,
+    ROW,
+    SYM,
+    Bitrade,
+    BitradeError,
+    InternalCheckFailed,
+    Label,
+    Triple,
+    metrics,
+)
 from .exact import gauss_solve
 
 
@@ -90,7 +100,8 @@ class Solution:
         """Least common multiple of the value denominators (always >= 2)."""
         # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
         n = functools.reduce(math.lcm, (v.denominator for v in self.values.values()), 1)
-        assert n >= 2, "solution width must be at least 2"
+        if n < 2:
+            raise InternalCheckFailed(f"solution width {n} is below 2")
         return n
 
 
@@ -104,9 +115,10 @@ def solve_pointed(pointed):
     values = dict(fixed)
     values.update(zip(columns, res.solution))
     for p in T.star:
-        assert values[p.row] + values[p.col] == values[p.sym] or p == pivot
-    if metrics(T).spherical:
-        assert all(0 <= v <= 1 for v in values.values())
+        if p != pivot and values[p.row] + values[p.col] != values[p.sym]:
+            raise InternalCheckFailed(f"solution breaks the equation of {p}")
+    if metrics(T).spherical and not all(0 <= v <= 1 for v in values.values()):
+        raise InternalCheckFailed("spherical solution has a value outside [0, 1]")
     return Solution(pointed, values)
 
 
@@ -166,7 +178,8 @@ def near_values(sol):
     out = {}
     for lab, v in sol.values.items():
         scaled = n * v
-        assert scaled.denominator == 1
+        if scaled.denominator != 1:
+            raise InternalCheckFailed(f"{lab} scaled by the width {n} is not an integer")
         out[lab] = int(scaled)
     return n, out
 

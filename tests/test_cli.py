@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from bitrades import jsonio
+from bitrades import exact, geometry, jsonio, solver
 from bitrades.cli import main
 
 
@@ -74,6 +75,15 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["width"] == 2 and doc["separated"]
 
+    def test_internal_check_exit_6(self, corpus_dir, capsys, monkeypatch):
+        def wrong(A, b):
+            res = exact.gauss_solve(A, b)
+            return exact.GaussResult("unique", [x + 1 for x in res.solution], res.rank)
+
+        monkeypatch.setattr(solver, "gauss_solve", wrong)
+        code, _, err = run(capsys, "solve", str(corpus_dir / "ex45.json"))
+        assert code == 6 and "internal check failed" in err
+
 
 class TestDissect:
     def test_svg_written(self, corpus_dir, tmp_path, capsys):
@@ -92,6 +102,13 @@ class TestDissect:
             capsys, "dissect", str(corpus_dir / "nested.json"), "--pivot", "r1,c1,s0"
         )
         assert code == 5 and "separate" in err
+
+    def test_not_a_dissection_exit_6(self, corpus_dir, capsys, monkeypatch):
+        verify = geometry.verify_dissection
+        monkeypatch.setattr(geometry, "verify_dissection", lambda sol, tris: dataclasses.replace(
+            verify(sol, tris), pairwise_disjoint=False, is_dissection=False))
+        code, _, err = run(capsys, "dissect", str(corpus_dir / "ex45.json"))
+        assert code == 6 and "did not produce a dissection" in err
 
 
 class TestEmbed:

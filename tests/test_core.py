@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bitrades.core import (
@@ -22,6 +24,7 @@ from bitrades.core import (
     tau_inverse,
 )
 from conftest import triple_by_names
+from test_groups import cayley_bitrade
 
 
 def labels(role, names):
@@ -139,6 +142,14 @@ class TestMetrics:
     def test_separated(self, spherical_corpus, toroidal):
         for T in list(spherical_corpus.values()) + [toroidal]:
             assert is_separated_bitrade(T)
+
+    def test_separated_cayley_tables(self):
+        # Z_n with delta shift k is separated exactly when gcd(n, k) = 1
+        for n in range(2, 7):
+            names = [[f"{prefix}{i}" for i in range(n)] for prefix in "rcs"]
+            for k in range(1, n):
+                T = cayley_bitrade(n, k, names, [range(n)] * 3)
+                assert is_separated_bitrade(T) == (math.gcd(n, k) == 1)
 
 
 class TestSemidual:

@@ -1,25 +1,29 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bitrades.core import BitradeError
+import geometry_oracle
+from bitrades.core import BitradeError, InternalCheckFailed
 from bitrades.geometry import (
     NotSeparatedSolution,
     TriangleGeom,
     ValenceSix,
-    clip_polygon,
+    _contains,
+    _overlap,
     dissect,
     extract_bitrade,
-    interiors_overlap,
     outer_triangle,
-    polygon_area,
     to_svg,
     triangles,
     verify_dissection,
 )
 from bitrades.core import is_isotopic
 from bitrades.solver import PointedBitrade, solve_pointed
-from conftest import GRID16_LINES, triple_by_names
+from conftest import GRID16_LINES, spherical_dissection, triple_by_names
+from geometry_oracle import clip_polygon, interiors_overlap, polygon_area
 
 H = Fraction(1, 2)
 
@@ -159,3 +163,81 @@ class TestSvg:
             if token.count(".") == 1:
                 digits = token.replace(".", "").replace("-", "").lstrip("0")
                 assert len(digits) <= 9
+
+
+Q = Fraction(1, 4)
+
+
+def tri(h, v, d):
+    return TriangleGeom(None, (Fraction(h), Fraction(v), Fraction(d)))
+
+
+class TestNegativeVerdicts:
+    """Hand-built triangle lists inside the outer triangle (0, 0, 1)."""
+
+    @pytest.fixture
+    def sol(self, intercalate):
+        return solve(intercalate, "r0", "c0", "s0")
+
+    def check(self, sol, tris):
+        report = verify_dissection(sol, tris)
+        assert report == geometry_oracle.verify_dissection(sol, tris)
+        return report
+
+    def test_duplicated_triangle(self, sol):
+        tris = triangles(sol)
+        report = self.check(sol, tris + [tris[0]])
+        assert not report.pairwise_disjoint and report.contained
+        assert not report.is_dissection
+
+    def test_upright_inverted_overlap(self, sol):
+        report = self.check(sol, [tri(0, 0, H), tri(Q, Q, Q)])
+        assert not report.pairwise_disjoint and report.contained
+
+    def test_poking_outside(self, sol):
+        report = self.check(sol, [tri(0, 0, Fraction(5, 4))])
+        assert not report.contained and report.pairwise_disjoint
+        report = self.check(sol, [tri(-Q, Q, H)])
+        assert not report.contained
+
+    def test_edge_sharing_is_disjoint(self, sol):
+        assert self.check(sol, [tri(0, 0, H), tri(H, H, H)]).pairwise_disjoint
+
+    @pytest.mark.parametrize("pair", [
+        (tri(0, 0, H), tri(0, H, 1)),  # two upright, meeting at (1/2, 0)
+        (tri(H, H, H), tri(H, 1, 1)),  # two inverted, meeting at (1/2, 1/2)
+        (tri(0, 0, H), tri(0, 1, H)),  # upright and inverted, meeting at (1/2, 0)
+    ])
+    def test_vertex_touching_is_disjoint(self, sol, pair):
+        assert self.check(sol, list(pair)).pairwise_disjoint
+
+
+def translated_copies(rng, tris):
+    """One copy of each triangle, shifted by multiples of half its leg, either way up."""
+    out = []
+    for t in tris:
+        h, v, d = t.lines
+        dx, dy = (t.leg * rng.randint(-3, 3) / 2 for _ in range(2))
+        out.append(tri(h + dy, v + dx, h + dy + v + dx + rng.choice((1, -1)) * t.leg))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([4, 7, 10, 13]))
+def test_verdicts_match_clipping_oracle(seed, n):
+    rng = random.Random(seed)
+    sol = solve_pointed(extract_bitrade(spherical_dissection(rng, n)))
+    sigma = outer_triangle(sol)
+    tris = triangles(sol)
+    copies = translated_copies(rng, tris)
+    everything = tris + copies
+    for t1 in everything:
+        for t2 in everything:
+            assert _overlap(t1, t2) == interiors_overlap(t1, t2)
+    for outer in [sigma] + rng.sample(everything, 3):  # upright and inverted outers
+        for t in everything:
+            assert _contains(outer, t) == geometry_oracle.contained(outer, t)
+    i = rng.randrange(n)
+    assert verify_dissection(sol, tris).is_separated_dissection
+    for subset in (tris, everything, tris[:i] + [copies[i]] + tris[i + 1:]):
+        assert verify_dissection(sol, subset) == geometry_oracle.verify_dissection(sol, subset)

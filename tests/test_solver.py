@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bitrades
 from bitrades.core import COL, ROW, SYM
 from bitrades.solver import (
     Homotopy,
@@ -123,3 +129,29 @@ class TestHomotopy:
         rows = ex45.universe(ROW)
         assert hom.separates(rows[0], rows[2])
         assert not hom.separates(rows[0], rows[0])
+
+
+def test_internal_check_survives_optimize_flag():
+    # under python -O a bare assert vanishes; the equation check must not
+    script = textwrap.dedent("""
+        from bitrades import corpus, exact, solver
+        assert False, "asserts are on"
+        def wrong(A, b):
+            res = exact.gauss_solve(A, b)
+            return exact.GaussResult("unique", [x + 1 for x in res.solution], res.rank)
+        solver.gauss_solve = wrong
+        T = corpus.example_4x5()
+        try:
+            solver.solve_pointed(solver.PointedBitrade(T, T.star[0]))
+        except solver.InternalCheckFailed as exc:
+            print("raised:", exc)
+        else:
+            print("no error")
+    """)
+    src = str(Path(bitrades.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: solution breaks the equation of")
