@@ -50,6 +50,7 @@ from .solver import (
     Solution,
     induced_homotopy,
     is_separated_solution,
+    solve_pivots,
     solve_pointed,
 )
 from .trigons import (

@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 axiom violation, 3 parse/usage error,
 4 singular pointed system, 5 solution not separated, 6 internal check
-failed (a run-time self-check of a proven property did not hold).
+failed (a run-time self-check of a proven property did not hold:
+``InternalCheckFailed``, its subclasses in ``trigons``, or the
+``AssertionError`` of a Smith form, homotopy or group check).  In
+``report`` such an error after a file loads becomes that file's status.
 """
 
 from __future__ import annotations
@@ -119,8 +122,7 @@ def cmd_embed(args):
     H = groups.subgroup_H(T)
     embeddable, witness = groups.is_abelian_embeddable(T)
     r, nullity, trivial_only = groups.integer_homotopy_rank(T)
-    met = core.metrics(T)
-    det = groups.check_det_invariance(T) if met.spherical else None
+    det = groups.check_det_invariance(T) if T.spherical else None
     if args.json:
         doc = {
             "G": {"free_rank": G.free_rank, "invariant_factors": list(G.invariant_factors)},
@@ -203,17 +205,23 @@ REPORT_FIELDS = [
 
 def _report_file(path):
     """All report rows for one input file; errors become status values."""
-    rows = []
     try:
         T = jsonio.load(path)
     except core.AxiomViolation as e:
         return [{"path": path.name, "status": f"axiom {e.axiom}"}]
     except (jsonio.ParseError, core.BitradeError, OSError) as e:
         return [{"path": path.name, "status": "parse error"}]
+    try:
+        return _report_rows(path, T)
+    except (core.BitradeError, AssertionError) as e:
+        return [{"path": path.name, "status": f"error {type(e).__name__}"}]
+
+
+def _report_rows(path, T):
     met = core.metrics(T)
     trigon_count = len(trigons.find_trigons(T)) if met.separated else ""
     H = groups.subgroup_H(T)
-    det = groups.check_det_invariance(T) if met.spherical else None
+    det = groups.check_det_invariance(T) if T.spherical else None
     base = {
         "path": path.name,
         "size": met.size,
@@ -223,11 +231,10 @@ def _report_file(path):
         "H": str(H),
         "det_B": det.common_value if det else "",
     }
-    for pivot in T.star:
+    rows = []
+    for pivot, sol in zip(T.star, solver.solve_pivots(T, T.star)):
         row = dict(base, pivot="{},{},{}".format(*pivot.names()))
-        try:
-            sol = solver.solve_pointed(solver.PointedBitrade(T, pivot))
-        except solver.SingularSystem:
+        if isinstance(sol, solver.SingularSystem):
             row.update(status="singular", separated_solution="", width="")
         else:
             separated, _ = solver.is_separated_solution(sol)
@@ -312,7 +319,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except jsonio.ParseError as e:
+    except (jsonio.ParseError, trigons.ArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (core.AxiomViolation, core.EmptyInput) as e:
@@ -324,7 +331,7 @@ def main(argv=None):
     except geometry.NotSeparatedSolution as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_SEPARATED
-    except core.InternalCheckFailed as e:
+    except (core.InternalCheckFailed, AssertionError) as e:
         print(f"error: internal check failed: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

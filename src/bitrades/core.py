@@ -104,6 +104,11 @@ class Bitrade:
     def size(self):
         return len(self.star)
 
+    @property
+    def spherical(self):
+        """m == size + 2: a separated bitrade with this count lies on a sphere."""
+        return sum(map(len, self.universes)) == len(self.star) + 2
+
     def universe(self, role):
         return self.universes[role]
 
@@ -321,7 +326,7 @@ def metrics(T):
         )
     separated = is_separated_bitrade(T)
     genus = (2 - chi) // 2 if separated and chi % 2 == 0 else None
-    return Metrics(s, o1, o2, o3, m, chi, separated, m == s + 2, genus)
+    return Metrics(s, o1, o2, o3, m, chi, separated, T.spherical, genus)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Exact integer and rational dense linear algebra, with integer arithmetic only.
 
-Everything here works on plain lists of lists.  Determinants use
-Bareiss fraction-free elimination.  ``gauss_solve`` scales each
-equation to integers and runs fraction-free Gauss-Jordan, whose
-divisions by the previous pivot are exact; ``Fraction`` appears only in
-its answer, one reduced value per unknown.  ``smith_normal_form``
-carries the inverses of its transforms alongside them and proves U and
-V unimodular by checking U U_inv = I and V V_inv = I.
+Everything here works on plain lists of lists.  One routine,
+``eliminate``, does all elimination: fraction-free Gauss-Jordan, whose
+divisions by the previous pivot are exact.  ``gauss_solve`` scales each
+equation to integers first, and ``Fraction`` appears only in its answer;
+``rank`` counts the pivots; the pointed solver and the deleted-column
+minors read the reduced rows.  ``smith_normal_form`` carries the
+inverses of its transforms alongside them and proves U and V unimodular
+by checking U U_inv = I and V V_inv = I.
 """
 
 from __future__ import annotations
@@ -57,103 +58,66 @@ class GaussResult:
     rank: int
 
 
-def gauss_solve(A, b):
-    """Solve A x = b exactly over the rationals.
+def eliminate(M, width):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in place.
 
-    A is a (possibly rectangular) matrix, b a column given as a list;
-    entries may be integers or Fractions.  Each equation is scaled to
-    integers by the lcm of its denominators, then eliminated with
-    fraction-free (Bareiss) Gauss-Jordan: every entry stays a minor of
-    the scaled system, so each division by the previous pivot is exact,
-    rows without an entry in the pivot column included.  Returns a GaussResult classifying solvability; the
-    solution, when unique, is one reduced Fraction per unknown and
-    satisfies A x = b exactly.
+    Pivots are sought in the first ``width`` columns; later columns
+    (right-hand sides) are carried along.  Every step updates whole
+    rows, so every entry stays a minor of M and each division by the
+    previous pivot is exact.  Returns (P, d), the pivot columns and the
+    last pivot (1 if none).  Row k < len(P) is then d (M_P)^-1 M, with
+    M_P the pivot rows' block on the columns P and |d| = |det M_P|; the
+    other rows are 0 in the first ``width`` columns.
     """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    M = [_integer_row([*row, rhs])[0] for row, rhs in zip(A, b)]
-    pivots = []  # (row, col)
+    n = len(M)
+    pivots = []
     prev = 1
-    r = 0
-    for c in range(m):
+    for c in range(width):
+        r = len(pivots)
         pr = next((i for i in range(r, n) if M[i][c]), None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
         top = M[r]
         pv = top[c]
-        tail = top[c + 1:]
         for i in range(n):
             if i == r:
                 continue
-            row = M[i]
-            f = row[c]
+            f = M[i][c]
             if f:
-                row[c + 1:] = [(pv * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-                row[c] = 0
+                M[i] = [(pv * x - f * y) // prev for x, y in zip(M[i], top)]
             elif pv != prev:
-                row[c + 1:] = [pv * x // prev for x in row[c + 1:]]
+                M[i] = [pv * x // prev for x in M[i]]
         prev = pv
-        pivots.append((r, c))
-        r += 1
-        if r == n:
+        pivots.append(c)
+        if r + 1 == n:
             break
-    rank = len(pivots)
-    for i in range(rank, n):
-        if M[i][m] != 0:
-            return GaussResult("no_solution", None, rank)
-    if rank < m:
-        return GaussResult("non_unique", None, rank)
-    # Gauss-Jordan leaves every pivot row with the last pivot on its diagonal
-    x = [None] * m
-    for i, c in pivots:
-        x[c] = Fraction(M[i][m], prev)
-    return GaussResult("unique", x, rank)
+    return pivots, prev
+
+
+def gauss_solve(A, b):
+    """Solve A x = b exactly over the rationals.
+
+    A is a (possibly rectangular) matrix of integers or Fractions, b a
+    list.  Each equation is scaled to integers by the lcm of its
+    denominators before ``eliminate``.  The GaussResult's solution, when
+    unique, is one reduced Fraction per unknown.
+    """
+    m = len(A[0]) if A else 0
+    M = [_integer_row([*row, rhs])[0] for row, rhs in zip(A, b)]
+    pivots, d = eliminate(M, m)
+    r = len(pivots)
+    if any(row[m] for row in M[r:]):
+        return GaussResult("no_solution", None, r)
+    if r < m:
+        return GaussResult("non_unique", None, r)
+    return GaussResult("unique", [Fraction(row[m], d) for row in M[:r]], r)
 
 
 def rank(A):
-    n = len(A)
-    if n == 0:
-        return 0
-    return gauss_solve(A, [0] * n).rank
-
-
-def determinant(A):
-    """Exact determinant of a square matrix (integer or rational entries).
-
-    Rational rows are scaled to integers first; the Bareiss determinant
-    of the scaled matrix is then divided by the product of the scales.
-    """
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    if all(isinstance(x, int) for row in A for x in row):
-        return _bareiss(A)
-    rows, scales = zip(*map(_integer_row, A))
-    return Fraction(_bareiss(list(rows)), math.prod(scales))
-
-
-def _bareiss(A):
-    """Bareiss fraction-free determinant; all divisions are exact."""
-    M = [row[:] for row in A]
-    n = len(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pr is None:
-                return 0
-            M[k], M[pr] = M[pr], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    """Rank of a matrix with integer or rational entries."""
+    M = [_integer_row(row)[0] for row in A]
+    return len(eliminate(M, len(A[0]) if A else 0)[0])
 
 
 @dataclass

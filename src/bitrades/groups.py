@@ -5,29 +5,21 @@ over the m label generators.  G(T) is the free abelian group on the
 labels modulo the row lattice of B; H(T) is the subgroup generated by
 within-role differences of label classes.  Both are reported by free
 rank and invariant factors via Smith normal form.
+
+ker B always holds the trivial homotopies k1 (1 on rows and symbols)
+and k2 (1 on columns and symbols), so nullity B >= 2, with equality iff
+every integer homotopy is trivial; each pointed system Eq(T, a) has rank
+rank B - 1 and nullity nullity B - 2 (see ``solver``).  The rank and the
+deleted-column minors come from one elimination of B each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import COL, ROW, SYM, metrics
-from .exact import determinant, mat_mul, rank, smith_normal_form
-from .solver import all_labels
-
-
-def relation_matrix(T):
-    """B: one row per star triple, columns in universe order (rows, cols, syms)."""
-    labels = all_labels(T)
-    col_of = {lab: j for j, lab in enumerate(labels)}
-    B = []
-    for p in T.star:
-        row = [0] * len(labels)
-        row[col_of[p.row]] = 1
-        row[col_of[p.col]] = 1
-        row[col_of[p.sym]] = -1
-        B.append(row)
-    return B, labels
+from .core import COL, ROW, SYM, InternalCheckFailed
+from .exact import eliminate, mat_mul, rank, smith_normal_form
+from .solver import relation_matrix
 
 
 @dataclass(frozen=True)
@@ -156,7 +148,7 @@ def subgroup_H(T):
         C.append([v // d for v, d in zip(rV, diag) if d])
     H_snf = smith_normal_form(C)
     H = AbelianGroupStructure(snf.rank - H_snf.rank, tuple(H_snf.invariant_factors))
-    if metrics(T).spherical:
+    if T.spherical:
         G = presentation(T)
         if H.free_rank != 0:
             raise AssertionError("H must be finite for a spherical bitrade")
@@ -176,21 +168,45 @@ class DetInvarianceReport:
 
 
 def check_det_invariance(T):
-    """|det B_{ij}| over all admissible deleted column pairs (i, j).
+    """|det B_ij| over all admissible deleted column pairs (i, j) of a spherical T.
 
     Admissible: i indexes a row label and j a later-block label, or i a
     column label and j a symbol label.  For a spherical bitrade all
-    these determinants agree and are nonzero.
+    these determinants agree and are nonzero; each is computed exactly
+    from one elimination of B (s x (s + 2)), not assumed.  If rank B < s
+    all are 0.  Otherwise, with pivot columns P, other columns n1, n2 and
+    reduced rows R = d B_P^-1 B (|d| = |det B_P|), Cramer's rule gives
+    |d| when n1, n2 are deleted; |R[p, n']| when a pivot p and one n are,
+    n' the other; and |R[p, n1] R[q, n2] - R[p, n2] R[q, n1]| / |d| when
+    pivots p, q are, a division that must be exact.
     """
+    if not T.spherical:
+        raise ValueError("deleted-column minors are square only for a spherical bitrade")
     B, labels = relation_matrix(T)
-    met = metrics(T)
-    o1, o2, m = met.o1, met.o2, met.m
+    m = len(labels)
+    o1, o2 = len(T.rows), len(T.cols)
     pairs = [(i, j) for i in range(o1) for j in range(o1, m)]
     pairs += [(i, j) for i in range(o1, o1 + o2) for j in range(o1 + o2, m)]
+    pivots, d = eliminate(B, m)
+    if len(pivots) < len(B):
+        return DetInvarianceReport(0, len(pairs), all_equal=True, nonzero=False)
+    row = dict(zip(pivots, B))  # pivot column -> its reduced row
+    n1, n2 = (c for c in range(m) if c not in row)
     values = set()
-    for i, j in pairs:
-        Bij = [[x for k, x in enumerate(row) if k not in (i, j)] for row in B]
-        values.add(abs(determinant(Bij)))
+    for pair in pairs:
+        deleted = [c for c in pair if c in row]
+        if not deleted:
+            minor = d
+        elif len(deleted) == 1:
+            [kept] = {n1, n2} - set(pair)
+            minor = row[deleted[0]][kept]
+        else:
+            p, q = deleted
+            two = row[p][n1] * row[q][n2] - row[p][n2] * row[q][n1]
+            if two % d:
+                raise InternalCheckFailed(f"2 x 2 minor {two} is not a multiple of {d}")
+            minor = two // d
+        values.add(abs(minor))
     common = values.pop() if len(values) == 1 else None
     return DetInvarianceReport(
         common_value=common,

@@ -57,7 +57,10 @@ def loads(text):
     syms = _labels(doc, "syms", SYM)
     star = _triples(doc, "star", rows, cols, syms)
     delta = _triples(doc, "delta", rows, cols, syms)
-    return build_bitrade(star, delta)
+    try:
+        return build_bitrade(star, delta)
+    except ValueError as e:  # a duplicated triple or an unused label
+        raise ParseError(str(e)) from e
 
 
 def load(path):

@@ -1,10 +1,19 @@
 """Exact rational solving of the pointed linear system of a bitrade.
 
-For a bitrade T with a pivot star triple a, the system fixes the pivot's
-row and column values at 0 and its symbol value at 1, drops the pivot's
-own equation, and asks for row + col = sym on every other star triple.
-A spherical bitrade has a unique solution; the solution values induce
-integer homotopies into cyclic groups.
+For a bitrade T with a pivot star triple a, the system Eq(T, a) fixes
+the pivot's row and column values at 0 and its symbol value at 1, drops
+the pivot's own equation, and asks for row + col = sym on every other
+star triple.  A spherical bitrade has a unique solution; the solution
+values induce integer homotopies into cyclic groups.
+
+All pivots share one elimination of the relation matrix B (one row
+row + col - sym per star triple).  Eq(T, a) is B x = -e_a with x = 0 at
+the pivot's row and column labels.  The kernel of B always holds the
+trivial homotopies k1 (1 on rows and symbols) and k2 (1 on columns and
+symbols), so any solution x of B x = -e_a gives the solution
+x - x[a.row] k1 - x[a.col] k2 of Eq(T, a), and ker B is k1, k2 plus the
+kernel of Eq(T, a): Eq(T, a) has rank rank(B) - 1 and nullity
+nullity(B) - 2.
 """
 
 from __future__ import annotations
@@ -14,18 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    COL,
-    ROW,
-    SYM,
-    Bitrade,
-    BitradeError,
-    InternalCheckFailed,
-    Label,
-    Triple,
-    metrics,
-)
-from .exact import gauss_solve
+from .core import COL, ROW, SYM, Bitrade, BitradeError, InternalCheckFailed, Triple
+from .exact import eliminate
 
 
 class SingularSystem(BitradeError):
@@ -35,10 +34,8 @@ class SingularSystem(BitradeError):
         self.rank = rank
         self.nullity = nullity
         self.status = status
-        if status == "no_solution":
-            detail = "inconsistent equations"
-        else:
-            detail = f"solution space dimension {nullity}"
+        detail = (f"solution space dimension {nullity}" if status == "non_unique"
+                  else "inconsistent equations")
         super().__init__(f"pointed system is singular (rank {rank}, {detail})")
 
 
@@ -52,33 +49,18 @@ class PointedBitrade:
             raise ValueError(f"pivot {self.pivot} is not a star triple")
 
 
-def all_labels(T):
-    return [lab for role in (ROW, COL, SYM) for lab in T.universe(role)]
-
-
-def build_system(T, pivot):
-    """Coefficient matrix and right-hand side of the pointed system.
-
-    Columns are the non-pivot labels in universe order (rows, cols,
-    syms); one equation per non-pivot star triple.
-    """
-    fixed = {pivot.row: Fraction(0), pivot.col: Fraction(0), pivot.sym: Fraction(1)}
-    columns = [lab for lab in all_labels(T) if lab not in fixed]
-    col_of = {lab: j for j, lab in enumerate(columns)}
-    A, b = [], []
+def relation_matrix(T):
+    """B: one row per star triple, columns in universe order (rows, cols, syms)."""
+    labels = [lab for universe in T.universes for lab in universe]
+    col_of = {lab: j for j, lab in enumerate(labels)}
+    B = []
     for p in T.star:
-        if p == pivot:
-            continue
-        row = [0] * len(columns)
-        rhs = Fraction(0)
-        for lab, coeff in ((p.row, 1), (p.col, 1), (p.sym, -1)):
-            if lab in fixed:
-                rhs -= coeff * fixed[lab]
-            else:
-                row[col_of[lab]] += coeff
-        A.append(row)
-        b.append(rhs)
-    return A, b, columns, fixed
+        row = [0] * len(labels)
+        row[col_of[p.row]] = 1
+        row[col_of[p.col]] = 1
+        row[col_of[p.sym]] = -1
+        B.append(row)
+    return B, labels
 
 
 @dataclass(frozen=True)
@@ -106,20 +88,55 @@ class Solution:
 
 
 def solve_pointed(pointed):
-    """Solve the pointed system exactly; raises SingularSystem if not unique."""
-    T, pivot = pointed.bitrade, pointed.pivot
-    A, b, columns, fixed = build_system(T, pivot)
-    res = gauss_solve(A, b)
-    if res.status != "unique":
-        raise SingularSystem(res.rank, len(columns) - res.rank, res.status)
-    values = dict(fixed)
-    values.update(zip(columns, res.solution))
-    for p in T.star:
-        if p != pivot and values[p.row] + values[p.col] != values[p.sym]:
-            raise InternalCheckFailed(f"solution breaks the equation of {p}")
-    if metrics(T).spherical and not all(0 <= v <= 1 for v in values.values()):
-        raise InternalCheckFailed("spherical solution has a value outside [0, 1]")
-    return Solution(pointed, values)
+    """Solve Eq(T, a) exactly; raises SingularSystem if not unique."""
+    [result] = solve_pivots(pointed.bitrade, [pointed.pivot])
+    if isinstance(result, SingularSystem):
+        raise result
+    return result
+
+
+def solve_pivots(T, pivots):
+    """Solve Eq(T, a) for every pivot a in pivots with one elimination of B.
+
+    Returns one Solution, or one SingularSystem (not raised), per pivot.
+    Each solution is checked against every equation of Eq(T, a), the
+    pivot's values 0, 0 and 1, and on a spherical bitrade the range
+    [0, 1]; a failure raises InternalCheckFailed.
+    """
+    B, labels = relation_matrix(T)
+    m = len(labels)
+    M = [row + [0] * len(pivots) for row in B]
+    index = {p: i for i, p in enumerate(T.star)}
+    for k, a in enumerate(pivots, m):
+        if a not in index:
+            raise ValueError(f"pivot {a} is not a star triple")
+        M[index[a]][k] = -1
+    pivot_cols, d = eliminate(M, m)
+    r = len(pivot_cols)
+    lo, hi = sorted((0, d))
+    out = []
+    for k, a in enumerate(pivots, m):
+        inconsistent = any(row[k] for row in M[r:])
+        if inconsistent or m - r > 2:
+            status = "no_solution" if inconsistent else "non_unique"
+            out.append(SingularSystem(r - 1, m - r - 2, status))
+            continue
+        x = dict.fromkeys(labels, 0)
+        for row, c in zip(M, pivot_cols):
+            x[labels[c]] = row[k]
+        # d times the solution: subtract x[a.row] k1 + x[a.col] k2
+        xr, xc = x[a.row], x[a.col]
+        y = {lab: v - (xr if lab.role != COL else 0) - (xc if lab.role != ROW else 0)
+             for lab, v in x.items()}
+        for p in T.star:
+            if p != a and y[p.row] + y[p.col] != y[p.sym]:
+                raise InternalCheckFailed(f"solution breaks the equation of {p}")
+        if (y[a.row], y[a.col], y[a.sym]) != (0, 0, d):
+            raise InternalCheckFailed(f"solution does not fix the pivot {a} at 0, 0 and 1")
+        if T.spherical and not all(lo <= v <= hi for v in y.values()):
+            raise InternalCheckFailed("spherical solution has a value outside [0, 1]")
+        out.append(Solution(PointedBitrade(T, a), {lab: Fraction(v, d) for lab, v in y.items()}))
+    return out
 
 
 def is_separated_solution(sol):

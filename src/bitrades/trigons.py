@@ -18,9 +18,9 @@ from .core import (
     SYM,
     Bitrade,
     BitradeError,
+    InternalCheckFailed,
     Triple,
     build_bitrade,
-    metrics,
     mu,
     tau,
     tau_cycle,
@@ -36,11 +36,11 @@ from .solver import (
 PAIR_WITHOUT = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
-class SpliceIdentityFailure(BitradeError):
+class SpliceIdentityFailure(InternalCheckFailed):
     pass
 
 
-class SplitInvalid(BitradeError):
+class SplitInvalid(InternalCheckFailed):
     pass
 
 
@@ -48,7 +48,7 @@ class NotInShrinkSituation(BitradeError):
     pass
 
 
-class LemmaViolation(BitradeError):
+class LemmaViolation(InternalCheckFailed):
     """The trigon-location dichotomy or uniqueness failed (diagnostic)."""
 
 
@@ -84,7 +84,8 @@ def trigon_at(T, c):
         if target not in cycle:
             return None
         k = cycle.index(target)
-        assert 2 <= k < len(cycle), "trigon arc bounds violated"
+        if not 2 <= k < len(cycle):
+            raise InternalCheckFailed(f"trigon arc bounds violated at {c}")
         ks.append(k)
         ls.append(len(cycle))
     return Trigon(c, tuple(corners), tuple(alphas), tuple(ks), tuple(ls))
@@ -173,7 +174,8 @@ def inner_circumference(T, tg):
                 f"splice identity fails at corner {tg.alphas[j]}"
             )
         q = tau_cycle(T, j, beta)
-        assert q[-1] == succ
+        if q[-1] != succ:
+            raise InternalCheckFailed(f"detour arc from {beta} does not close at {succ}")
         betas.append(beta)
         arcs.append(tuple(q))
     circ = list(vertices)
@@ -244,10 +246,12 @@ def split(T, tg):
     except BitradeError as e:
         raise SplitInvalid(f"split pieces are not bitrades: {e}") from e
 
-    assert inner.size + outer.size == T.size + 1
-    assert len(inner.delta) + len(outer.delta) == T.size + 1
-    if metrics(T).spherical:
-        assert metrics(inner).spherical and metrics(outer).spherical
+    if inner.size + outer.size != T.size + 1:
+        raise InternalCheckFailed("split star sizes do not add up to size + 1")
+    if len(inner.delta) + len(outer.delta) != T.size + 1:
+        raise InternalCheckFailed("split delta sizes do not add up to size + 1")
+    if T.spherical and not (inner.spherical and outer.spherical):
+        raise InternalCheckFailed("split of a spherical bitrade is not spherical")
     return Split(tg, inner, outer, frozenset(inner_points))
 
 
@@ -276,10 +280,11 @@ def recombine(T, sp, phi):
             inner_val = (
                 (h[role] + psi_bar[lab] * k) % mn if lab in psi_bar else None
             )
-            if outer_val is not None and inner_val is not None:
-                assert outer_val == inner_val, f"recombination conflict at {lab}"
+            if None not in (outer_val, inner_val) and outer_val != inner_val:
+                raise InternalCheckFailed(f"recombination conflict at {lab}")
             val = outer_val if outer_val is not None else inner_val
-            assert val is not None, f"label {lab} lost in the split"
+            if val is None:
+                raise InternalCheckFailed(f"label {lab} lost in the split")
             maps[lab] = val
     return Homotopy.checked(T, mn, maps)
 
@@ -352,21 +357,20 @@ def _separate(T, a, b, i, depth):
     tg = locate_trigon(pointed, sol, b, i)
     sp = split(T, tg)
     outer = sp.outer
-    assert len(outer.delta) < len(T.delta)
+    if len(outer.delta) >= len(T.delta):
+        raise InternalCheckFailed("the outer bitrade of a split is not smaller")
     a2 = next(p for p in outer.star if p[i] == a[i])
     b2 = b if b in set(outer.star) else next(p for p in outer.star if p[i] == b[i])
     phi, depth = _separate(outer, a2, b2, i, depth + 1)
     lifted = recombine(T, sp, phi)
-    assert lifted.separates(a[i], b[i])
+    if not lifted.separates(a[i], b[i]):
+        raise InternalCheckFailed(f"lifted homotopy does not separate {a[i]} from {b[i]}")
     return lifted, depth
 
 
 def separate(T, a, b, i):
     """A homotopy into some Z_n (n >= 2) distinguishing a[i] from b[i]."""
-    if a[i] == b[i]:
-        raise ArgumentError(f"triples agree at coordinate {i}")
-    hom, _ = _separate(T, a, b, i, 0)
-    return hom
+    return separate_trace(T, a, b, i)[0]
 
 
 def separate_trace(T, a, b, i):
@@ -410,6 +414,7 @@ def embed_product(T):
             images[lab] = tuple(h.maps[lab] % h.modulus for _, _, h in factors)
         seen = {}
         for lab in T.universe(role):
-            assert images[lab] not in seen, f"product map collides at {lab}"
+            if images[lab] in seen:
+                raise InternalCheckFailed(f"product map collides at {lab}")
             seen[images[lab]] = lab
     return ProductEmbedding(tuple(factors), images)

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from bitrades import corpus
-from bitrades.core import BitradeError, metrics
+from bitrades.core import COL, ROW, SYM, BitradeError, Label, Triple, build_bitrade, metrics
 from bitrades.geometry import extract_bitrade
 
 # regular subdivision of the outer triangle into 16 cells; interior grid
@@ -91,6 +92,41 @@ def spherical_corpus(intercalate, ex45, nested):
         "ex45": ex45,
         "nested": nested.bitrade,
     }
+
+
+@pytest.fixture(scope="session")
+def seeded_spherical():
+    """Bitrades of seeded random spherical dissections of 4 to 25 triangles."""
+    return [
+        extract_bitrade(spherical_dissection(random.Random(seed), n)).bitrade
+        for seed, n in enumerate((4, 7, 10, 13, 16, 19, 22, 25))
+    ]
+
+
+def intercalate_pair(second_row):
+    """Two intercalates on disjoint columns and symbols; the second one's
+    rows start at second_row, so 2 makes them disjoint and 1 shares a row."""
+    labels = [[Label(role, i, "rcs"[role] + str(i)) for i in range(4)]
+              for role in (ROW, COL, SYM)]
+
+    def table(shift):
+        return [Triple(labels[ROW][o * second_row // 2 + i], labels[COL][o + j],
+                       labels[SYM][o + (i + j + shift) % 2])
+                for o in (0, 2) for i in range(2) for j in range(2)]
+
+    return build_bitrade(table(0), table(1))
+
+
+@pytest.fixture(scope="session")
+def two_intercalates():
+    """The disjoint union of two intercalates: nullity(B) = 4."""
+    return intercalate_pair(2)
+
+
+@pytest.fixture(scope="session")
+def pinched_intercalates():
+    """Two intercalates sharing one row label: nullity(B) = 3."""
+    return intercalate_pair(1)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,111 @@
+"""Per-pivot reference paths, kept as oracles for the one elimination of B.
+
+``build_system`` writes out the pointed system Eq(T, a) for one pivot
+and ``solve_pointed`` solves it with the rational Gauss-Jordan of
+``rational_oracle``, one elimination per pivot.  ``determinant`` is the
+Bareiss determinant, and ``check_det_invariance`` takes one of them per
+admissible deleted column pair.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import rational_oracle
+from bitrades.exact import _integer_row
+from bitrades.groups import DetInvarianceReport, relation_matrix
+
+
+def build_system(T, pivot):
+    """Coefficient matrix and right-hand side of the pointed system.
+
+    Columns are the non-pivot labels in universe order (rows, cols,
+    syms); one equation per non-pivot star triple.
+    """
+    fixed = {pivot.row: Fraction(0), pivot.col: Fraction(0), pivot.sym: Fraction(1)}
+    columns = [lab for lab in relation_matrix(T)[1] if lab not in fixed]
+    col_of = {lab: j for j, lab in enumerate(columns)}
+    A, b = [], []
+    for p in T.star:
+        if p == pivot:
+            continue
+        row = [0] * len(columns)
+        rhs = Fraction(0)
+        for lab, coeff in ((p.row, 1), (p.col, 1), (p.sym, -1)):
+            if lab in fixed:
+                rhs -= coeff * fixed[lab]
+            else:
+                row[col_of[lab]] += coeff
+        A.append(row)
+        b.append(rhs)
+    return A, b, columns, fixed
+
+
+def solve_pointed(T, pivot):
+    """(status, rank, nullity, values) of Eq(T, pivot); values is None unless unique."""
+    A, b, columns, fixed = build_system(T, pivot)
+    res = rational_oracle.gauss_solve(A, b)
+    values = None
+    if res.status == "unique":
+        values = dict(fixed)
+        values.update(zip(columns, res.solution))
+    return res.status, res.rank, len(columns) - res.rank, values
+
+
+def determinant(A):
+    """Exact determinant of a square matrix (integer or rational entries).
+
+    Rational rows are scaled to integers first; the Bareiss determinant
+    of the scaled matrix is then divided by the product of the scales.
+    """
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    if all(isinstance(x, int) for row in A for x in row):
+        return _bareiss(A)
+    rows, scales = zip(*map(_integer_row, A))
+    return Fraction(_bareiss(list(rows)), math.prod(scales))
+
+
+def _bareiss(A):
+    """Bareiss fraction-free determinant; all divisions are exact."""
+    M = [row[:] for row in A]
+    n = len(M)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if pr is None:
+                return 0
+            M[k], M[pr] = M[pr], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def check_det_invariance(T):
+    """The deleted-column report from one Bareiss determinant per admissible pair."""
+    B, labels = relation_matrix(T)
+    m = len(labels)
+    o1, o2 = len(T.rows), len(T.cols)
+    pairs = [(i, j) for i in range(o1) for j in range(o1, m)]
+    pairs += [(i, j) for i in range(o1, o1 + o2) for j in range(o1 + o2, m)]
+    values = set()
+    for i, j in pairs:
+        Bij = [[x for k, x in enumerate(row) if k not in (i, j)] for row in B]
+        values.add(abs(determinant(Bij)))
+    common = values.pop() if len(values) == 1 else None
+    return DetInvarianceReport(
+        common_value=common,
+        pairs_checked=len(pairs),
+        all_equal=common is not None,
+        nonzero=bool(common),
+    )

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bitrades import exact, geometry, jsonio, solver
+from bitrades import core, exact, geometry, groups, jsonio, solver, trigons
 from bitrades.cli import main
 
 
@@ -39,6 +39,16 @@ class TestValidate:
     def test_missing_file_exit_3(self, tmp_path, capsys):
         code, _, _ = run(capsys, "validate", str(tmp_path / "absent.json"))
         assert code == 3
+
+    def test_duplicate_triple_exit_3(self, tmp_path, capsys, intercalate):
+        doc = json.loads(jsonio.dumps(intercalate))
+        doc["star"].append(doc["star"][0])
+        dup = tmp_path / "dup.json"
+        dup.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(dup))
+        assert code == 3 and "duplicate triple" in err
+        code, out, _ = run(capsys, "report", str(tmp_path))
+        assert code == 0 and out.splitlines()[1] == "dup.json,,,,,parse error,,,,,"
 
     def test_axiom_violation_exit_2(self, tmp_path, capsys, intercalate):
         doc = json.loads(jsonio.dumps(intercalate))
@@ -76,11 +86,12 @@ class TestSolve:
         assert doc["width"] == 2 and doc["separated"]
 
     def test_internal_check_exit_6(self, corpus_dir, capsys, monkeypatch):
-        def wrong(A, b):
-            res = exact.gauss_solve(A, b)
-            return exact.GaussResult("unique", [x + 1 for x in res.solution], res.rank)
+        def wrong(M, width):
+            pivots, d = exact.eliminate(M, width)
+            M[0][-1] += d  # one solution value off by 1
+            return pivots, d
 
-        monkeypatch.setattr(solver, "gauss_solve", wrong)
+        monkeypatch.setattr(solver, "eliminate", wrong)
         code, _, err = run(capsys, "solve", str(corpus_dir / "ex45.json"))
         assert code == 6 and "internal check failed" in err
 
@@ -127,6 +138,14 @@ class TestEmbed:
         assert code == 0 and "abelian-embeddable: no" in out
 
 
+    def test_group_check_exit_6(self, corpus_dir, capsys, monkeypatch):
+        # H = torsion(G) fails against a wrong G and raises AssertionError
+        monkeypatch.setattr(groups, "presentation",
+                            lambda T: groups.AbelianGroupStructure(2, (3,)))
+        code, _, err = run(capsys, "embed", str(corpus_dir / "ex45.json"))
+        assert code == 6 and "torsion of G" in err
+
+
 class TestSeparateAndTrigons:
     def test_ex45_pair(self, corpus_dir, capsys):
         code, out, _ = run(
@@ -143,6 +162,26 @@ class TestSeparateAndTrigons:
         )
         assert code == 0
         assert "modulus: 4" in out and "recursion depth: 1" in out
+
+    def test_same_label_exit_3(self, corpus_dir, capsys):
+        code, _, err = run(
+            capsys, "separate", str(corpus_dir / "ex45.json"),
+            "--pair", "r0", "r0", "--coord", "1",
+        )
+        assert code == 3 and "agree at coordinate" in err
+
+    @pytest.mark.parametrize("error", [
+        trigons.LemmaViolation, trigons.SplitInvalid, trigons.SpliceIdentityFailure])
+    def test_trigon_check_exit_6(self, corpus_dir, capsys, monkeypatch, error):
+        def failing(T, tg):
+            raise error("injected")
+
+        monkeypatch.setattr(trigons, "split", failing)
+        code, _, err = run(
+            capsys, "separate", str(corpus_dir / "nested.json"),
+            "--pair", "r0", "r2", "--coord", "1", "--pivot", "r2,c1,s1",
+        )
+        assert code == 6 and "internal check failed: injected" in err
 
     def test_trigons_none(self, corpus_dir, capsys):
         code, out, _ = run(capsys, "trigons", str(corpus_dir / "intercalate.json"))
@@ -172,6 +211,29 @@ class TestReport:
         code2, out2, _ = run(capsys, "report", str(corpus_dir), "--jobs", "8")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+    @pytest.mark.parametrize("error", [AssertionError, core.InternalCheckFailed])
+    def test_bad_file_keeps_the_others(self, corpus_dir, tmp_path, capsys, monkeypatch,
+                                       error):
+        d = tmp_path / "two"
+        d.mkdir()
+        for name in ("ex45.json", "intercalate.json"):
+            (d / name).write_text((corpus_dir / name).read_text())
+        subgroup_H = groups.subgroup_H
+
+        def failing(T):
+            if T.size == 12:
+                raise error("injected")
+            return subgroup_H(T)
+
+        monkeypatch.setattr(groups, "subgroup_H", failing)
+        code, out, _ = run(capsys, "report", str(d), "--jobs", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == f"ex45.json,,,,,error {error.__name__},,,,,"
+        assert len(lines) == 2 + 4
+        assert all(ln.startswith("intercalate.json,") and ",ok," in ln for ln in lines[2:])
 
 
 class TestRoundTrip:

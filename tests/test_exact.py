@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 import rational_oracle
 from bitrades.exact import (
     _verify_smith,
-    determinant,
+    eliminate,
     gauss_solve,
     mat_mul,
     rank,
     smith_normal_form,
     transpose,
 )
+from pivot_oracle import determinant
 from rational_oracle import invert_unimodular
 
 
@@ -122,6 +123,30 @@ class TestGaussSolveAgainstRationalOracle:
         assert_same_as_oracle([[]], [1])
         assert_same_as_oracle([[0, 0], [0, 0]], [0, 0])
         assert_same_as_oracle([[0, 0], [0, 0]], [0, Fraction(1, 3)])
+
+
+class TestEliminate:
+    """Every column, left of later pivots too, ends as d times the reduced form."""
+
+    @given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reduced_rows(self, n, m, k, data):
+        # A = C R has rank at most k, so some columns are not pivots
+        C = data.draw(matrices(n, min(k, n, m), small_ints))
+        R = data.draw(matrices(min(k, n, m), m, small_ints))
+        A = [[sum(c * r[j] for c, r in zip(Ci, R)) for j in range(m)] for Ci in C]
+        M = [row[:] for row in A]
+        pivots, d = eliminate(M, m)
+        r = len(pivots)
+        assert r == rational_oracle.gauss_solve(A, [0] * n).rank
+        assert all(not any(row) for row in M[r:])
+        A_P = [[row[c] for c in pivots] for row in A]
+        for j in range(m):
+            # column j of A is A_P x for one x, and row k of M holds d x[k]
+            x = rational_oracle.gauss_solve(A_P, [row[j] for row in A]).solution
+            assert [row[j] for row in M[:r]] == [d * xk for xk in x]
+        if r == n:
+            assert abs(d) == abs(determinant(A_P))
 
 
 class TestDeterminant:

@@ -9,9 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitrades
+import pivot_oracle
 import rational_oracle
-from bitrades import groups
-from bitrades.core import COL, ROW, SYM, Label, Triple, build_bitrade, metrics
+from bitrades import exact, groups
+from bitrades.core import (
+    COL,
+    ROW,
+    SYM,
+    InternalCheckFailed,
+    Label,
+    Triple,
+    build_bitrade,
+    metrics,
+)
 from bitrades.exact import SmithForm, smith_normal_form
 from bitrades.groups import (
     canonical_images,
@@ -220,6 +230,25 @@ class TestDetInvariance:
         for T in spherical_corpus.values():
             rep = check_det_invariance(T)
             assert rep.all_equal and rep.nonzero
+
+    def test_against_bareiss_oracle(self, spherical_corpus, seeded_spherical):
+        for T in [*spherical_corpus.values(), *seeded_spherical]:
+            assert check_det_invariance(T) == pivot_oracle.check_det_invariance(T)
+
+    def test_non_spherical_rejected(self, toroidal):
+        with pytest.raises(ValueError, match="spherical"):
+            check_det_invariance(toroidal)
+
+    def test_exact_division_is_checked(self, ex45, monkeypatch):
+        # with the last pivot tripled, the 2 x 2 minors (+-14 d) are no
+        # longer multiples of it
+        def tripled(M, width):
+            pivots, d = exact.eliminate(M, width)
+            return pivots, 3 * d
+
+        monkeypatch.setattr(groups, "eliminate", tripled)
+        with pytest.raises(InternalCheckFailed, match="not a multiple"):
+            check_det_invariance(ex45)
 
     def test_common_value_matches_H_order(self, spherical_corpus):
         # observed experimentally on the corpus; recorded as data

@@ -6,21 +6,26 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import bitrades
-from bitrades.core import COL, ROW, SYM
+import pivot_oracle
+from bitrades import exact, solver
+from bitrades.core import COL, ROW, SYM, InternalCheckFailed
 from bitrades.solver import (
     Homotopy,
     PointedBitrade,
     SingularSystem,
-    build_system,
     induced_homotopy,
     is_separated_solution,
     near_values,
     normalize_homotopy,
+    solve_pivots,
     solve_pointed,
 )
 from conftest import triple_by_names
+from pivot_oracle import build_system
+from test_groups import renamed_cayley
 
 EX45_VALUES = {
     "r0": Fraction(0), "r1": Fraction(2, 7), "r2": Fraction(5, 14), "r3": Fraction(4, 7),
@@ -75,6 +80,77 @@ class TestSolvePointed:
     def test_pivot_must_be_in_star(self, intercalate):
         with pytest.raises(ValueError):
             PointedBitrade(intercalate, intercalate.delta[0])
+
+
+def outcome(T, result):
+    """(status, rank, nullity, values) of one entry of solve_pivots."""
+    if isinstance(result, SingularSystem):
+        return result.status, result.rank, result.nullity, None
+    m = sum(len(T.universe(role)) for role in (ROW, COL, SYM))
+    return "unique", m - 3, 0, result.values
+
+
+def assert_pivots_match_oracle(T):
+    results = solve_pivots(T, T.star)
+    assert len(results) == T.size
+    for pivot, result in zip(T.star, results):
+        assert outcome(T, result) == pivot_oracle.solve_pointed(T, pivot)
+        if not isinstance(result, SingularSystem):
+            assert result.pivot == pivot and result.bitrade is T
+            assert all(type(v) is Fraction for v in result.values.values())
+    return results
+
+
+class TestSolvePivots:
+    """One elimination of B gives every pivot what its own system gives."""
+
+    def test_seeded_spherical(self, seeded_spherical):
+        for T in seeded_spherical:
+            results = assert_pivots_match_oracle(T)
+            assert not any(isinstance(res, SingularSystem) for res in results)
+
+    def test_corpus(self, spherical_corpus, toroidal):
+        for T in [*spherical_corpus.values(), toroidal]:
+            assert_pivots_match_oracle(T)
+
+    @given(renamed_cayley())
+    @settings(max_examples=25, deadline=None)
+    def test_cayley_tables_under_renaming(self, case):
+        assert_pivots_match_oracle(case[1])
+
+    def test_toroidal_swapped_three_solvable(self, toroidal_swapped):
+        results = assert_pivots_match_oracle(toroidal_swapped)
+        assert sum(not isinstance(res, SingularSystem) for res in results) == 3
+
+    def test_two_intercalates_non_unique(self, two_intercalates):
+        for result in assert_pivots_match_oracle(two_intercalates):
+            assert (result.status, result.rank, result.nullity) == ("non_unique", 7, 2)
+
+    def test_pinched_intercalates_non_unique(self, pinched_intercalates):
+        for result in assert_pivots_match_oracle(pinched_intercalates):
+            assert (result.status, result.rank, result.nullity) == ("non_unique", 7, 1)
+
+    def test_subset_of_pivots(self, ex45):
+        pivots = [ex45.star[5], ex45.star[0]]
+        for pivot, result in zip(pivots, solve_pivots(ex45, pivots)):
+            assert result.values == solve_pointed(PointedBitrade(ex45, pivot)).values
+
+    def test_pivot_must_be_in_star(self, intercalate):
+        with pytest.raises(ValueError, match="not a star triple"):
+            solve_pivots(intercalate, [intercalate.star[0], intercalate.delta[0]])
+
+    def test_pivot_values_are_checked(self, ex45, monkeypatch):
+        # zeroed right-hand sides give x = 0, which keeps every equation
+        # of Eq(T, a) but leaves the pivot's symbol at 0
+        def zeroed(M, width):
+            pivots, d = exact.eliminate(M, width)
+            for row in M:
+                row[width:] = [0] * (len(row) - width)
+            return pivots, d
+
+        monkeypatch.setattr(solver, "eliminate", zeroed)
+        with pytest.raises(InternalCheckFailed, match="does not fix the pivot"):
+            solve_pointed(PointedBitrade(ex45, ex45.star[0]))
 
 
 class TestSeparatedSolution:
@@ -136,10 +212,11 @@ def test_internal_check_survives_optimize_flag():
     script = textwrap.dedent("""
         from bitrades import corpus, exact, solver
         assert False, "asserts are on"
-        def wrong(A, b):
-            res = exact.gauss_solve(A, b)
-            return exact.GaussResult("unique", [x + 1 for x in res.solution], res.rank)
-        solver.gauss_solve = wrong
+        def wrong(M, width):
+            pivots, d = exact.eliminate(M, width)
+            M[0][-1] += d  # one solution value off by 1
+            return pivots, d
+        solver.eliminate = wrong
         T = corpus.example_4x5()
         try:
             solver.solve_pointed(solver.PointedBitrade(T, T.star[0]))

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import bitrades
 from bitrades.core import COL, ROW, SYM, Triple, is_isotopic, metrics, tau
 from bitrades.solver import PointedBitrade, induced_homotopy, solve_pointed
 from bitrades.trigons import (
@@ -217,3 +224,32 @@ class TestEmbedProduct:
                 for p in T.star:
                     assert (hom.maps[p.row] + hom.maps[p.col]
                             - hom.maps[p.sym]) % hom.modulus == 0
+
+
+def test_recombination_check_survives_optimize_flag():
+    # under python -O a bare assert vanishes; the recombination check must not
+    script = textwrap.dedent("""
+        from bitrades import corpus, trigons
+        assert False, "asserts are on"
+        near_values = trigons.near_values
+        def shifted(sol):
+            n, values = near_values(sol)
+            return n, {lab: v + 1 for lab, v in values.items()}
+        trigons.near_values = shifted
+        T = corpus.nested_intercalate().bitrade
+        a = next(t for t in T.star if t.names() == ("r2", "c1", "s1"))
+        b = next(t for t in T.star if t.row.name == "r0")
+        try:
+            trigons.separate_trace(T, a, b, 0)
+        except trigons.InternalCheckFailed as exc:
+            print("raised:", exc)
+        else:
+            print("no error")
+    """)
+    src = str(Path(bitrades.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: recombination conflict at")
