@@ -45,12 +45,13 @@ from .groups import (
 from .jsonio import ParseError, dump, dumps, load, loads
 from .solver import (
     Homotopy,
+    PivotElimination,
     PointedBitrade,
     SingularSystem,
     Solution,
+    eliminate_pivots,
     induced_homotopy,
     is_separated_solution,
-    solve_pivots,
     solve_pointed,
 )
 from .trigons import (

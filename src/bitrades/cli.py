@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 2 axiom violation, 3 parse/usage error,
 4 singular pointed system, 5 solution not separated, 6 internal check
-failed (a run-time self-check of a proven property did not hold:
-``InternalCheckFailed``, its subclasses in ``trigons``, or the
-``AssertionError`` of a Smith form, homotopy or group check).  In
-``report`` such an error after a file loads becomes that file's status.
+failed (a run-time self-check of a proven property did not hold: an
+``InternalCheckFailed``).  In ``report`` a ``BitradeError`` or
+``AssertionError`` raised after a file loads becomes that file's status.
 """
 
 from __future__ import annotations
@@ -232,9 +231,12 @@ def _report_rows(path, T):
         "det_B": det.common_value if det else "",
     }
     rows = []
-    for pivot, sol in zip(T.star, solver.solve_pivots(T, T.star)):
+    eliminated = solver.eliminate_pivots(T, T.star)
+    for pivot in T.star:
         row = dict(base, pivot="{},{},{}".format(*pivot.names()))
-        if isinstance(sol, solver.SingularSystem):
+        try:
+            sol = solver.solve_pointed(solver.PointedBitrade(T, pivot), eliminated)
+        except solver.SingularSystem:
             row.update(status="singular", separated_solution="", width="")
         else:
             separated, _ = solver.is_separated_solution(sol)
@@ -331,7 +333,7 @@ def main(argv=None):
     except geometry.NotSeparatedSolution as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_SEPARATED
-    except (core.InternalCheckFailed, AssertionError) as e:
+    except core.InternalCheckFailed as e:
         print(f"error: internal check failed: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

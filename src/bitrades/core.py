@@ -25,8 +25,12 @@ class EmptyInput(BitradeError):
     pass
 
 
-class InternalCheckFailed(BitradeError):
-    """A run-time self-check failed: a proven property of a result did not hold."""
+class InternalCheckFailed(BitradeError, AssertionError):
+    """A run-time self-check failed: a proven property of a result did not hold.
+
+    An AssertionError in kind, but raised explicitly, so it survives
+    ``python -O``.
+    """
 
 
 class NotSeparated(BitradeError):

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import InternalCheckFailed
+
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -40,12 +42,10 @@ def transpose(A):
 
 def _integer_row(row):
     """(scale * row, scale) with scale the lcm of the entries' denominators."""
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     scale = 1
     # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
     for x in row:
-        if x.denominator != 1:
-            scale = math.lcm(scale, x.denominator)
+        scale = math.lcm(scale, x.denominator)
     return [int(x * scale) for x in row], scale
 
 
@@ -90,8 +90,6 @@ def eliminate(M, width):
                 M[i] = [pv * x // prev for x in M[i]]
         prev = pv
         pivots.append(c)
-        if r + 1 == n:
-            break
     return pivots, prev
 
 
@@ -115,9 +113,8 @@ def gauss_solve(A, b):
 
 
 def rank(A):
-    """Rank of a matrix with integer or rational entries."""
-    M = [_integer_row(row)[0] for row in A]
-    return len(eliminate(M, len(A[0]) if A else 0)[0])
+    """Rank of an integer matrix."""
+    return len(eliminate([list(row) for row in A], len(A[0]) if A else 0)[0])
 
 
 @dataclass
@@ -256,12 +253,12 @@ def _verify_smith(M, diagonal, U, V, U_inv, V_inv):
         if i < len(diagonal):
             want[i] = diagonal[i]
         if _row_times(_row_times(Ui, M), V) != want:
-            raise AssertionError("smith normal form verification failed: U M V != D")
+            raise InternalCheckFailed("smith normal form verification failed: U M V != D")
     for a, b in zip(diagonal, diagonal[1:]):
         if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
-            raise AssertionError("smith normal form divisibility chain broken")
+            raise InternalCheckFailed("smith normal form divisibility chain broken")
     for P, P_inv in ((U, U_inv), (V, V_inv)):
         for i, Pi in enumerate(P):
             row = _row_times(Pi, P_inv)
             if row[i] != 1 or any(row[:i]) or any(row[i + 1:]):
-                raise AssertionError("smith normal form transforms are not unimodular")
+                raise InternalCheckFailed("smith normal form transforms are not unimodular")

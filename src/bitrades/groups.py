@@ -89,7 +89,7 @@ def canonical_images(T):
             )
         )
         if any(combined):
-            raise AssertionError(f"additive law fails at {p}")
+            raise InternalCheckFailed(f"additive law fails at {p}")
     free = m - snf.rank
     return CanonicalImages(
         AbelianGroupStructure(free, tuple(snf.invariant_factors)), images, moduli
@@ -120,7 +120,7 @@ def subgroup_H(T):
     has coordinates (r V)_k / d_k in it.  So H is presented by the
     columns of B V with d_k != 0, each divided exactly by its d_k; a
     nonzero remainder, or a nonzero entry where d_k = 0, means r is not
-    in the lattice and raises AssertionError.  (Z^m / (L + N) is G / H.
+    in the lattice and raises InternalCheckFailed.  (Z^m / (L + N) is G / H.
     It is generated by the classes of one row and one column label, and
     rows -> (1, 0), columns -> (0, 1), symbols -> (1, 1) maps it onto
     Z^2, so it is free and every nonzero d_k is 1; the division stays
@@ -144,18 +144,18 @@ def subgroup_H(T):
     C = []
     for rV in mat_mul(B, snf.V):
         if any(v % d if d else v for v, d in zip(rV, diag)):
-            raise AssertionError("relation row is not in the lattice L + N")
+            raise InternalCheckFailed("relation row is not in the lattice L + N")
         C.append([v // d for v, d in zip(rV, diag) if d])
     H_snf = smith_normal_form(C)
     H = AbelianGroupStructure(snf.rank - H_snf.rank, tuple(H_snf.invariant_factors))
     if T.spherical:
         G = presentation(T)
         if H.free_rank != 0:
-            raise AssertionError("H must be finite for a spherical bitrade")
+            raise InternalCheckFailed("H must be finite for a spherical bitrade")
         if H.invariant_factors != G.invariant_factors:
-            raise AssertionError("H must equal the torsion of G for a spherical bitrade")
+            raise InternalCheckFailed("H must equal the torsion of G for a spherical bitrade")
         if G.free_rank != 2:
-            raise AssertionError("G must have free rank 2 for a spherical bitrade")
+            raise InternalCheckFailed("G must have free rank 2 for a spherical bitrade")
     return H
 
 

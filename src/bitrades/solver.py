@@ -6,14 +6,13 @@ the pivot's own equation, and asks for row + col = sym on every other
 star triple.  A spherical bitrade has a unique solution; the solution
 values induce integer homotopies into cyclic groups.
 
-All pivots share one elimination of the relation matrix B (one row
-row + col - sym per star triple).  Eq(T, a) is B x = -e_a with x = 0 at
-the pivot's row and column labels.  The kernel of B always holds the
-trivial homotopies k1 (1 on rows and symbols) and k2 (1 on columns and
-symbols), so any solution x of B x = -e_a gives the solution
-x - x[a.row] k1 - x[a.col] k2 of Eq(T, a), and ker B is k1, k2 plus the
-kernel of Eq(T, a): Eq(T, a) has rank rank(B) - 1 and nullity
-nullity(B) - 2.
+Eq(T, a) is B x = -e_a, B the relation matrix (one row row + col - sym
+per star triple), with x = 0 at the pivot's row and column labels.  As
+ker B always holds the trivial homotopies k1 (1 on rows and symbols)
+and k2 (1 on columns and symbols), a solution x of B x = -e_a gives the
+solution x - x[a.row] k1 - x[a.col] k2 of Eq(T, a), which has rank
+rank(B) - 1 and nullity nullity(B) - 2.  So ``eliminate_pivots``
+eliminates B once for many pivots; ``solve_pointed`` reads each one.
 """
 
 from __future__ import annotations
@@ -87,56 +86,62 @@ class Solution:
         return n
 
 
-def solve_pointed(pointed):
-    """Solve Eq(T, a) exactly; raises SingularSystem if not unique."""
-    [result] = solve_pivots(pointed.bitrade, [pointed.pivot])
-    if isinstance(result, SingularSystem):
-        raise result
-    return result
+@dataclass(frozen=True)
+class PivotElimination:
+    """[B | -e_a, one column per pivot a] after one elimination of B."""
+
+    bitrade: Bitrade
+    labels: list  # the columns of B
+    rows: list  # the reduced rows
+    pivot_cols: list
+    d: int  # the last pivot: every reduced row is d times a rational row
+    column: dict  # pivot -> its right-hand side's column
 
 
-def solve_pivots(T, pivots):
-    """Solve Eq(T, a) for every pivot a in pivots with one elimination of B.
-
-    Returns one Solution, or one SingularSystem (not raised), per pivot.
-    Each solution is checked against every equation of Eq(T, a), the
-    pivot's values 0, 0 and 1, and on a spherical bitrade the range
-    [0, 1]; a failure raises InternalCheckFailed.
-    """
+def eliminate_pivots(T, pivots):
+    """Eliminate B once, carrying one -e_a column for every pivot a."""
     B, labels = relation_matrix(T)
-    m = len(labels)
-    M = [row + [0] * len(pivots) for row in B]
-    index = {p: i for i, p in enumerate(T.star)}
-    for k, a in enumerate(pivots, m):
-        if a not in index:
-            raise ValueError(f"pivot {a} is not a star triple")
-        M[index[a]][k] = -1
-    pivot_cols, d = eliminate(M, m)
-    r = len(pivot_cols)
-    lo, hi = sorted((0, d))
-    out = []
-    for k, a in enumerate(pivots, m):
-        inconsistent = any(row[k] for row in M[r:])
-        if inconsistent or m - r > 2:
-            status = "no_solution" if inconsistent else "non_unique"
-            out.append(SingularSystem(r - 1, m - r - 2, status))
-            continue
-        x = dict.fromkeys(labels, 0)
-        for row, c in zip(M, pivot_cols):
-            x[labels[c]] = row[k]
-        # d times the solution: subtract x[a.row] k1 + x[a.col] k2
-        xr, xc = x[a.row], x[a.col]
-        y = {lab: v - (xr if lab.role != COL else 0) - (xc if lab.role != ROW else 0)
-             for lab, v in x.items()}
-        for p in T.star:
-            if p != a and y[p.row] + y[p.col] != y[p.sym]:
-                raise InternalCheckFailed(f"solution breaks the equation of {p}")
-        if (y[a.row], y[a.col], y[a.sym]) != (0, 0, d):
-            raise InternalCheckFailed(f"solution does not fix the pivot {a} at 0, 0 and 1")
-        if T.spherical and not all(lo <= v <= hi for v in y.values()):
-            raise InternalCheckFailed("spherical solution has a value outside [0, 1]")
-        out.append(Solution(PointedBitrade(T, a), {lab: Fraction(v, d) for lab, v in y.items()}))
-    return out
+    column = {a: k for k, a in enumerate(dict.fromkeys(pivots), len(labels))}
+    if not all(map(T.in_star, column)):
+        raise ValueError("a pivot is not a star triple")
+    M = [row + [0] * len(column) for row in B]
+    for row, p in zip(M, T.star):
+        if p in column:
+            row[column[p]] = -1
+    pivot_cols, d = eliminate(M, len(labels))
+    return PivotElimination(T, labels, M, pivot_cols, d, column)
+
+
+def solve_pointed(pointed, elimination=None):
+    """Solve Eq(T, a) exactly; raises SingularSystem if not unique.
+
+    Reads ``elimination`` (``eliminate_pivots(T, pivots)``, a in pivots) or eliminates
+    for a alone.  Checks every equation of Eq(T, a), the pivot's symbol value 1 and,
+    on a spherical T, the range [0, 1]; a failure raises InternalCheckFailed.
+    """
+    T, a = pointed.bitrade, pointed.pivot
+    E = elimination or eliminate_pivots(T, [a])
+    if E.bitrade is not T or a not in E.column:
+        raise ValueError(f"pivot {a} of this bitrade was not eliminated")
+    k, d, labels = E.column[a], E.d, E.labels
+    m, r = len(labels), len(E.pivot_cols)
+    inconsistent = any(row[k] for row in E.rows[r:])
+    if inconsistent or m - r > 2:
+        raise SingularSystem(r - 1, m - r - 2, "no_solution" if inconsistent else "non_unique")
+    x = dict.fromkeys(labels, 0)
+    x.update((labels[c], row[k]) for row, c in zip(E.rows, E.pivot_cols))
+    shift = (x[a.row], x[a.col], x[a.row] + x[a.col])  # x[a.row] k1 + x[a.col] k2 by role
+    y = {lab: v - shift[lab.role] for lab, v in x.items()}  # d times the solution
+    for p in T.star:
+        if p != a and y[p.row] + y[p.col] != y[p.sym]:
+            raise InternalCheckFailed(f"solution breaks the equation of {p}")
+    # y is 0 at the pivot's row and column by construction; y[a.sym] = d is
+    # row a of B x = -e_a, the one equation not checked above
+    if y[a.sym] != d:
+        raise InternalCheckFailed(f"solution does not fix the pivot {a}'s symbol at 1")
+    if T.spherical and not all(0 <= v * d <= d * d for v in y.values()):
+        raise InternalCheckFailed("spherical solution has a value outside [0, 1]")
+    return Solution(pointed, {lab: Fraction(v, d) for lab, v in y.items()})
 
 
 def is_separated_solution(sol):
@@ -172,7 +177,7 @@ class Homotopy:
         """Construct and verify the homotopy law; the only constructor used."""
         for p in T.star:
             if (maps[p.row] + maps[p.col] - maps[p.sym]) % modulus != 0:
-                raise AssertionError(f"homotopy law fails at {p} (mod {modulus})")
+                raise InternalCheckFailed(f"homotopy law fails at {p} (mod {modulus})")
         return cls(modulus, dict(maps))
 
     def __call__(self, lab):

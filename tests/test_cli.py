@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
@@ -205,6 +207,19 @@ class TestReport:
         ex45_rows = [ln for ln in lines if ln.startswith("ex45")]
         assert len(ex45_rows) == 12
         assert any(",14," in ln for ln in ex45_rows)
+
+    def test_rows_match_single_pivot_solves(self, corpus_dir, capsys):
+        code, out, _ = run(capsys, "report", str(corpus_dir))
+        assert code == 0
+        for row in csv.DictReader(io.StringIO(out)):
+            T = jsonio.load(corpus_dir / row["path"])
+            pivot = next(p for p in T.star if ",".join(p.names()) == row["pivot"])
+            try:
+                sol = solver.solve_pointed(solver.PointedBitrade(T, pivot))
+            except solver.SingularSystem:
+                assert (row["status"], row["width"]) == ("singular", "")
+            else:
+                assert (row["status"], row["width"]) == ("ok", str(sol.width()))
 
     def test_deterministic(self, corpus_dir, capsys):
         code1, out1, _ = run(capsys, "report", str(corpus_dir), "--jobs", "1")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rational_oracle
+from bitrades.core import InternalCheckFailed
 from bitrades.exact import (
     _verify_smith,
     eliminate,
@@ -246,6 +247,12 @@ class TestSmithNormalForm:
         target[i][j] += delta
         with pytest.raises(AssertionError, match="not unimodular"):
             _verify_smith(M, snf.diagonal, snf.U, snf.V, *inverses)
+
+    def test_failure_is_an_internal_check(self):
+        M = [[2, 4], [6, 8]]
+        snf = smith_normal_form(M)
+        with pytest.raises(InternalCheckFailed, match="U M V != D"):
+            _verify_smith(M, [2 * d for d in snf.diagonal], snf.U, snf.V, snf.U_inv, snf.V_inv)
 
 
 class TestInvertUnimodular:

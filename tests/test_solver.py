@@ -16,11 +16,11 @@ from bitrades.solver import (
     Homotopy,
     PointedBitrade,
     SingularSystem,
+    eliminate_pivots,
     induced_homotopy,
     is_separated_solution,
     near_values,
     normalize_homotopy,
-    solve_pivots,
     solve_pointed,
 )
 from conftest import triple_by_names
@@ -82,8 +82,20 @@ class TestSolvePointed:
             PointedBitrade(intercalate, intercalate.delta[0])
 
 
+def solve_all(T, pivots):
+    """One Solution or SingularSystem per pivot, all from one elimination of B."""
+    eliminated = eliminate_pivots(T, pivots)
+    results = []
+    for pivot in pivots:
+        try:
+            results.append(solve_pointed(PointedBitrade(T, pivot), eliminated))
+        except SingularSystem as e:
+            results.append(e)
+    return results
+
+
 def outcome(T, result):
-    """(status, rank, nullity, values) of one entry of solve_pivots."""
+    """(status, rank, nullity, values) of one entry of solve_all."""
     if isinstance(result, SingularSystem):
         return result.status, result.rank, result.nullity, None
     m = sum(len(T.universe(role)) for role in (ROW, COL, SYM))
@@ -91,7 +103,7 @@ def outcome(T, result):
 
 
 def assert_pivots_match_oracle(T):
-    results = solve_pivots(T, T.star)
+    results = solve_all(T, T.star)
     assert len(results) == T.size
     for pivot, result in zip(T.star, results):
         assert outcome(T, result) == pivot_oracle.solve_pointed(T, pivot)
@@ -101,7 +113,7 @@ def assert_pivots_match_oracle(T):
     return results
 
 
-class TestSolvePivots:
+class TestSharedElimination:
     """One elimination of B gives every pivot what its own system gives."""
 
     def test_seeded_spherical(self, seeded_spherical):
@@ -132,12 +144,22 @@ class TestSolvePivots:
 
     def test_subset_of_pivots(self, ex45):
         pivots = [ex45.star[5], ex45.star[0]]
-        for pivot, result in zip(pivots, solve_pivots(ex45, pivots)):
+        for pivot, result in zip(pivots, solve_all(ex45, pivots)):
             assert result.values == solve_pointed(PointedBitrade(ex45, pivot)).values
 
     def test_pivot_must_be_in_star(self, intercalate):
         with pytest.raises(ValueError, match="not a star triple"):
-            solve_pivots(intercalate, [intercalate.star[0], intercalate.delta[0]])
+            eliminate_pivots(intercalate, [intercalate.star[0], intercalate.delta[0]])
+
+    def test_pivot_must_have_been_eliminated(self, ex45, nested):
+        eliminated = eliminate_pivots(ex45, [ex45.star[0]])
+        with pytest.raises(ValueError, match="was not eliminated"):
+            solve_pointed(PointedBitrade(ex45, ex45.star[1]), eliminated)
+        # a star triple of both, eliminated with the other bitrade
+        shared = triple_by_names(ex45, "r2", "c0", "s0")
+        eliminated = eliminate_pivots(nested.bitrade, [shared])
+        with pytest.raises(ValueError, match="was not eliminated"):
+            solve_pointed(PointedBitrade(ex45, shared), eliminated)
 
     def test_pivot_values_are_checked(self, ex45, monkeypatch):
         # zeroed right-hand sides give x = 0, which keeps every equation
@@ -179,6 +201,13 @@ class TestHomotopy:
         lab = next(iter(bad))
         bad[lab] += 1
         with pytest.raises(AssertionError):
+            Homotopy.checked(intercalate, hom.modulus, bad)
+
+    def test_law_failure_is_an_internal_check(self, intercalate):
+        hom = induced_homotopy(solve(intercalate, "r0", "c0", "s0"))
+        bad = dict(hom.maps)
+        bad[next(iter(bad))] += 1
+        with pytest.raises(InternalCheckFailed, match="homotopy law fails"):
             Homotopy.checked(intercalate, hom.modulus, bad)
 
     def test_near_values(self, intercalate):
