@@ -92,7 +92,9 @@ def _other(pair):
 class Bitrade:
     """A validated latin bitrade with pair-lookup indexes.
 
-    Immutable after construction; use :func:`build_bitrade`.
+    Immutable after construction; use :func:`build_bitrade`.  The one
+    derived value kept on it is the verified Smith form of its relation
+    matrix, which ``groups`` computes on first use.
     """
 
     def __init__(self, star, delta, universes, star_pair, delta_pair):
@@ -103,6 +105,7 @@ class Bitrade:
         self._delta_pair = delta_pair
         self._star_set = frozenset(star)
         self._delta_set = frozenset(delta)
+        self._relation_smith = None  # (labels, SmithForm of B), set by groups
 
     @property
     def size(self):

@@ -4,10 +4,12 @@ Everything here works on plain lists of lists.  One routine,
 ``eliminate``, does all elimination: fraction-free Gauss-Jordan, whose
 divisions by the previous pivot are exact.  ``gauss_solve`` scales each
 equation to integers first, and ``Fraction`` appears only in its answer;
-``rank`` counts the pivots; the pointed solver and the deleted-column
-minors read the reduced rows.  ``smith_normal_form`` carries the
-inverses of its transforms alongside them and proves U and V unimodular
-by checking U U_inv = I and V V_inv = I.
+the pointed solver and the deleted-column minors read the reduced rows.
+``smith_normal_form`` carries the inverses of its transforms alongside
+them, proves U and V unimodular by checking U U_inv = I and
+V V_inv = I, and then checks U M V = D as M V = U_inv D.  ``groups``
+computes the Smith form of a bitrade's relation matrix once and reads
+G(T), H(T), the canonical images and the rank of B from it.
 """
 
 from __future__ import annotations
@@ -112,11 +114,6 @@ def gauss_solve(A, b):
     return GaussResult("unique", [Fraction(row[m], d) for row in M[:r]], r)
 
 
-def rank(A):
-    """Rank of an integer matrix."""
-    return len(eliminate([list(row) for row in A], len(A[0]) if A else 0)[0])
-
-
 @dataclass
 class SmithForm:
     """U @ M @ V = D with U, V unimodular and D = diag(d_1 | d_2 | ...).
@@ -144,11 +141,13 @@ def smith_normal_form(M):
 
     Every elementary row operation applied to U is undone on the columns
     of U_inv, and every column operation applied to V on the rows of
-    V_inv, so the inverses cost no elimination.  The returned form is
-    re-verified on every call: U M V is recomputed and compared against
-    the diagonal, the divisibility chain is checked, and U U_inv = I and
-    V V_inv = I are confirmed.  An integer matrix with an integer inverse
-    has determinant +-1, so this proves both transforms unimodular.
+    V_inv, so the inverses cost no elimination.  The pivot is the first
+    entry of least absolute value; a unit pivot ends the scan and needs
+    no divisibility pass.  The returned form is re-verified on every
+    call: U U_inv = I and V V_inv = I are confirmed, U M V = D is checked
+    as M V = U_inv D, and so is the divisibility chain.  An integer
+    matrix with an integer inverse has determinant +-1, so this proves
+    both transforms unimodular.
     """
     n = len(M)
     m = len(M[0]) if n else 0
@@ -190,18 +189,22 @@ def smith_normal_form(M):
 
     t = 0
     while t < min(n, m):
-        # move the smallest nonzero entry of the trailing block to (t, t)
+        # move the first smallest nonzero entry of the trailing block to
+        # (t, t); no entry is smaller than a unit, so the scan stops there
         best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+        for entry in ((abs(x), i, j) for i in range(t, n)
+                      for j, x in enumerate(A[i][t:], t) if x):
+            if best is None or entry < best:  # later (i, j) only win on size
+                best = entry
+                if entry[0] == 1:
+                    break
         if best is None:
             break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
+        _, i, j = best
+        if i != t:
+            swap_rows(t, i)
+        if j != t:
+            swap_cols(t, j)
         while True:
             dirty = False
             for i in range(t + 1, n):
@@ -220,6 +223,8 @@ def smith_normal_form(M):
                     dirty = True
             if dirty:
                 continue
+            if abs(A[t][t]) == 1:
+                break  # a unit divides every entry
             # force the divisibility chain: pull in any non-divisible entry
             culprit = None
             for i in range(t + 1, n):
@@ -242,23 +247,22 @@ def smith_normal_form(M):
 
 
 def _verify_smith(M, diagonal, U, V, U_inv, V_inv):
-    """Check U M V = D, the divisibility chain, U U_inv = I and V V_inv = I.
+    """Check U U_inv = I, V V_inv = I, U M V = D and the divisibility chain.
 
+    Once U_inv is proven to be U's inverse, U M V = D is checked as the
+    equivalent M V = U_inv D, one sparse row of M times V per row.
     Every product is formed one row at a time, so no n x n product or
     identity matrix is built.
     """
-    m = len(M[0]) if M else 0
-    for i, Ui in enumerate(U):
-        want = [0] * m
-        if i < len(diagonal):
-            want[i] = diagonal[i]
-        if _row_times(_row_times(Ui, M), V) != want:
-            raise InternalCheckFailed("smith normal form verification failed: U M V != D")
-    for a, b in zip(diagonal, diagonal[1:]):
-        if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
-            raise InternalCheckFailed("smith normal form divisibility chain broken")
     for P, P_inv in ((U, U_inv), (V, V_inv)):
         for i, Pi in enumerate(P):
             row = _row_times(Pi, P_inv)
             if row[i] != 1 or any(row[:i]) or any(row[i + 1:]):
                 raise InternalCheckFailed("smith normal form transforms are not unimodular")
+    padding = [0] * (len(V) - len(diagonal))
+    for Mi, Ui_inv in zip(M, U_inv):
+        if _row_times(Mi, V) != [u * d for u, d in zip(Ui_inv, diagonal)] + padding:
+            raise InternalCheckFailed("smith normal form verification failed: U M V != D")
+    for a, b in zip(diagonal, diagonal[1:]):
+        if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
+            raise InternalCheckFailed("smith normal form divisibility chain broken")

@@ -6,11 +6,15 @@ labels modulo the row lattice of B; H(T) is the subgroup generated by
 within-role differences of label classes.  Both are reported by free
 rank and invariant factors via Smith normal form.
 
+B's Smith form U B V = D is computed once per bitrade and kept on it:
+G(T), the canonical images, the rank of B and H(T), which is computed
+in G's Smith coordinates, all read it.
+
 ker B always holds the trivial homotopies k1 (1 on rows and symbols)
 and k2 (1 on columns and symbols), so nullity B >= 2, with equality iff
 every integer homotopy is trivial; each pointed system Eq(T, a) has rank
-rank B - 1 and nullity nullity B - 2 (see ``solver``).  The rank and the
-deleted-column minors come from one elimination of B each.
+rank B - 1 and nullity nullity B - 2 (see ``solver``).  The
+deleted-column minors come from one elimination of a fresh copy of B.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import COL, ROW, SYM, InternalCheckFailed
-from .exact import eliminate, mat_mul, rank, smith_normal_form
+from .exact import eliminate, smith_normal_form
 from .solver import relation_matrix
 
 
@@ -45,12 +49,25 @@ class AbelianGroupStructure:
         return " + ".join(parts) if parts else "0"
 
 
+def _relation_smith(T):
+    """(labels, Smith form U B V = D of B), computed once per bitrade.
+
+    The form is verified before it is kept on T, and its readers never
+    modify it.
+    """
+    if T._relation_smith is None:
+        B, labels = relation_matrix(T)
+        T._relation_smith = labels, smith_normal_form(B)
+    return T._relation_smith
+
+
+def _structure(labels, snf):
+    return AbelianGroupStructure(len(labels) - snf.rank, tuple(snf.invariant_factors))
+
+
 def presentation(T):
     """Structure of G(T) = Z^m / rowlattice(B)."""
-    B, labels = relation_matrix(T)
-    snf = smith_normal_form(B)
-    free = len(labels) - snf.rank
-    return AbelianGroupStructure(free, tuple(snf.invariant_factors))
+    return _structure(*_relation_smith(T))
 
 
 @dataclass(frozen=True)
@@ -67,9 +84,15 @@ class CanonicalImages:
 
 
 def canonical_images(T):
-    B, labels = relation_matrix(T)
+    """Each label's class in G(T) = Z^K / D_K, read off U B V = D.
+
+    x -> x V maps Z^m onto itself and the row lattice of B onto that of
+    D, so G(T) is Z^K / D_K, K the coordinates k with d_k != 1 (d_k = 0
+    past the rank) and D_K their diagonal; label i's class is row i of
+    V on K, reduced mod d_k where d_k > 1.
+    """
+    labels, snf = _relation_smith(T)
     m = len(labels)
-    snf = smith_normal_form(B)
     diag = list(snf.diagonal) + [0] * (m - len(snf.diagonal))
     keep = [k for k in range(m) if diag[k] != 1]
     moduli = tuple(diag[k] for k in keep)
@@ -79,7 +102,6 @@ def canonical_images(T):
             vec[k] % diag[k] if diag[k] > 1 else vec[k] for k in keep
         )
 
-    # class of generator i has coordinates = row i of V
     images = {lab: reduce_vec(snf.V[i]) for i, lab in enumerate(labels)}
     for p in T.star:
         combined = tuple(
@@ -90,10 +112,7 @@ def canonical_images(T):
         )
         if any(combined):
             raise InternalCheckFailed(f"additive law fails at {p}")
-    free = m - snf.rank
-    return CanonicalImages(
-        AbelianGroupStructure(free, tuple(snf.invariant_factors)), images, moduli
-    )
+    return CanonicalImages(_structure(labels, snf), images, moduli)
 
 
 def is_abelian_embeddable(T):
@@ -114,38 +133,41 @@ def subgroup_H(T):
 
     H = (L + N) / N where N is the row lattice of B and L is generated
     by the differences e_b - e_a of the row labels, and of the column
-    labels, against those of a fixed base star triple a.  With
-    U gens V = D the Smith form of the generators of L + N, the rows
-    d_k (V^-1)_k with d_k != 0 are a basis of L + N, and a row r of B
-    has coordinates (r V)_k / d_k in it.  So H is presented by the
-    columns of B V with d_k != 0, each divided exactly by its d_k; a
-    nonzero remainder, or a nonzero entry where d_k = 0, means r is not
-    in the lattice and raises InternalCheckFailed.  (Z^m / (L + N) is G / H.
-    It is generated by the classes of one row and one column label, and
-    rows -> (1, 0), columns -> (0, 1), symbols -> (1, 1) maps it onto
-    Z^2, so it is free and every nonzero d_k is 1; the division stays
-    as a check.)
+    labels, against those of a fixed base star triple a.  In the Smith
+    coordinates of ``canonical_images``, G = Z^K / D_K and H is
+    (A + D_K) / D_K, with A spanned by the differences of the labels'
+    images (reducing an image mod d_k keeps it in its class, so A + D_K
+    is the same).  With U' gens V' = D' the Smith form of the generators
+    of A + D_K, the rows d'_j (V'^-1)_j with d'_j != 0 are a basis of
+    A + D_K, and a relation row d_k e_k has coordinates d_k V'_kj / d'_j
+    in it.  So H is presented by the rows d_k V'_k (d_k != 0) on the
+    columns with d'_j != 0, each divided exactly by its d'_j; a nonzero
+    remainder, or a nonzero entry where d'_j = 0, means the row is not
+    in the lattice and raises InternalCheckFailed.  (Z^K / (A + D_K) is
+    G / H.  It is generated by the classes of one row and one column
+    label, and rows -> (1, 0), columns -> (0, 1), symbols -> (1, 1) maps
+    it onto Z^2, so it is free and every nonzero d'_j is 1; the division
+    stays as a check.)
     """
-    B, labels = relation_matrix(T)
-    m = len(labels)
-    col_of = {lab: j for j, lab in enumerate(labels)}
+    ci = canonical_images(T)
+    width = len(ci.moduli)
+    relations = [(k, d) for k, d in enumerate(ci.moduli) if d]
+    gens = [[d if j == k else 0 for j in range(width)] for k, d in relations]
     base = T.star[0]
-    gens = [row[:] for row in B]
     for i in (ROW, COL):
+        origin = ci.images[base[i]]
         for lab in dict.fromkeys(p[i] for p in T.star):
             if lab != base[i]:
-                row = [0] * m
-                row[col_of[lab]] = 1
-                row[col_of[base[i]]] = -1
-                gens.append(row)
+                gens.append([x - y for x, y in zip(ci.images[lab], origin)])
 
     snf = smith_normal_form(gens)
-    diag = snf.diagonal + [0] * (m - len(snf.diagonal))
+    diag = snf.diagonal + [0] * (width - len(snf.diagonal))
     C = []
-    for rV in mat_mul(B, snf.V):
-        if any(v % d if d else v for v, d in zip(rV, diag)):
-            raise InternalCheckFailed("relation row is not in the lattice L + N")
-        C.append([v // d for v, d in zip(rV, diag) if d])
+    for k, d in relations:
+        rV = [d * v for v in snf.V[k]]
+        if any(v % e if e else v for v, e in zip(rV, diag)):
+            raise InternalCheckFailed("relation row is not in the lattice A + D_K")
+        C.append([v // e for v, e in zip(rV, diag) if e])
     H_snf = smith_normal_form(C)
     H = AbelianGroupStructure(snf.rank - H_snf.rank, tuple(H_snf.invariant_factors))
     if T.spherical:
@@ -218,7 +240,6 @@ def check_det_invariance(T):
 
 def integer_homotopy_rank(T):
     """(rank B, nullity, trivial_only): integer homotopies are trivial iff nullity is 2."""
-    B, labels = relation_matrix(T)
-    r = rank(B)
-    nullity = len(labels) - r
-    return r, nullity, nullity == 2
+    labels, snf = _relation_smith(T)
+    nullity = len(labels) - snf.rank
+    return snf.rank, nullity, nullity == 2

@@ -129,6 +129,36 @@ def pinched_intercalates():
     return intercalate_pair(1)
 
 
+def product_bitrade(T, k):
+    """T times the Cayley table of Z_k: star ((r, i), (c, j), (s, i + j)).
+
+    The product adds a Z_k factor to G and to H.
+    """
+    lifted = []
+    for role, universe in enumerate(T.universes):
+        keys = [(lab, i) for lab in universe for i in range(k)]
+        lifted.append({key: Label(role, index, f"{key[0].name}.{key[1]}")
+                       for index, key in enumerate(keys)})
+
+    def lift(triples):
+        return [Triple(lifted[ROW][p.row, i], lifted[COL][p.col, j],
+                       lifted[SYM][p.sym, (i + j) % k])
+                for p in triples for i in range(k) for j in range(k)]
+
+    return build_bitrade(lift(T.star), lift(T.delta))
+
+
+@pytest.fixture(scope="session")
+def products(intercalate, ex45):
+    """Products with cyclic groups, keyed by name, with their G and H."""
+    return {
+        "intercalate_x2": (product_bitrade(intercalate, 2), (2, (2, 2)), (0, (2, 2))),
+        "intercalate_x3": (product_bitrade(intercalate, 3), (2, (6,)), (0, (6,))),
+        "intercalate_x4": (product_bitrade(intercalate, 4), (2, (2, 4)), (0, (2, 4))),
+        "ex45_x2": (product_bitrade(ex45, 2), (2, (2, 14)), (0, (2, 14))),
+    }
+
+
 @pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory, intercalate, ex45, toroidal, toroidal_swapped, nested):
     from bitrades import jsonio

@@ -4,7 +4,8 @@
 and ``solve_pointed`` solves it with the rational Gauss-Jordan of
 ``rational_oracle``, one elimination per pivot.  ``determinant`` is the
 Bareiss determinant, and ``check_det_invariance`` takes one of them per
-admissible deleted column pair.
+admissible deleted column pair.  ``rank`` counts the pivots of one
+elimination, the rank of B before it was read off B's Smith form.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 
 import rational_oracle
-from bitrades.exact import _integer_row
+from bitrades.exact import _integer_row, eliminate
 from bitrades.groups import DetInvarianceReport, relation_matrix
 
 
@@ -51,6 +52,11 @@ def solve_pointed(T, pivot):
         values = dict(fixed)
         values.update(zip(columns, res.solution))
     return res.status, res.rank, len(columns) - res.rank, values
+
+
+def rank(A):
+    """Rank of an integer matrix: the pivot count of one elimination."""
+    return len(eliminate([list(row) for row in A], len(A[0]) if A else 0)[0])
 
 
 def determinant(A):

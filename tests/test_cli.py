@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bitrades import core, exact, geometry, groups, jsonio, solver, trigons
+from bitrades import cli, core, exact, geometry, groups, jsonio, solver, trigons
 from bitrades.cli import main
 
 
@@ -13,6 +13,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once(corpus_dir, capsys):
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, "validate", str(corpus_dir / "ex45.json"))[0] == 0
+    assert cli._parser.cache_info().misses == 1
 
 
 class TestValidate:

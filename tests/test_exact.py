@@ -11,11 +11,10 @@ from bitrades.exact import (
     eliminate,
     gauss_solve,
     mat_mul,
-    rank,
     smith_normal_form,
     transpose,
 )
-from pivot_oracle import determinant
+from pivot_oracle import determinant, rank
 from rational_oracle import invert_unimodular
 
 
@@ -247,6 +246,22 @@ class TestSmithNormalForm:
         target[i][j] += delta
         with pytest.raises(AssertionError, match="not unimodular"):
             _verify_smith(M, snf.diagonal, snf.U, snf.V, *inverses)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(),
+           st.integers(-3, 3).filter(bool), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rejects_corrupted_transform(self, n, m, corrupt_u, delta, data):
+        # U M V = D is checked as M V = U_inv D, which holds for any U;
+        # U U_inv = I is what ties a corrupted U to its carried inverse
+        M = data.draw(matrices(n, m, st.integers(-9, 9)))
+        snf = smith_normal_form(M)
+        transforms = [[row[:] for row in snf.U], [row[:] for row in snf.V]]
+        target = transforms[0 if corrupt_u else 1]
+        i = data.draw(st.integers(0, len(target) - 1))
+        j = data.draw(st.integers(0, len(target) - 1))
+        target[i][j] += delta
+        with pytest.raises(InternalCheckFailed, match="not unimodular"):
+            _verify_smith(M, snf.diagonal, *transforms, snf.U_inv, snf.V_inv)
 
     def test_failure_is_an_internal_check(self):
         M = [[2, 4], [6, 8]]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import bitrades
 import pivot_oracle
 import rational_oracle
-from bitrades import exact, groups
+from bitrades import corpus, exact, groups
 from bitrades.core import (
     COL,
     ROW,
@@ -127,10 +127,12 @@ def renamed_cayley(draw):
 
 
 class TestSubgroupHAgainstRationalOracle:
-    """H from B V equals H from an explicit lattice basis and rational solves."""
+    """H in G's Smith coordinates equals H from an explicit lattice basis and rational solves."""
 
-    def test_corpus(self, spherical_corpus, toroidal, toroidal_swapped):
-        for T in list(spherical_corpus.values()) + [toroidal, toroidal_swapped]:
+    def test_corpus(self, spherical_corpus, toroidal, toroidal_swapped, seeded_spherical,
+                    two_intercalates, pinched_intercalates):
+        for T in [*spherical_corpus.values(), toroidal, toroidal_swapped, *seeded_spherical,
+                  two_intercalates, pinched_intercalates]:
             assert subgroup_H(T) == rational_oracle.subgroup_H(T)
 
     @given(renamed_cayley())
@@ -141,18 +143,63 @@ class TestSubgroupHAgainstRationalOracle:
         assert H == rational_oracle.subgroup_H(T)
         assert H.free_rank == 0 and H.order == n
 
-    def test_exact_division_is_checked(self, ex45, monkeypatch):
-        # a Smith form of the generators whose diagonal is doubled no longer
-        # divides the coordinates of the relation rows
-        def doubled(M):
-            snf = smith_normal_form(M)
+    @staticmethod
+    def generators_fault(monkeypatch, change):
+        """A fresh ex45 whose next Smith form, that of H's generators, has
+        its diagonal changed; B's form is kept on the bitrade first, so
+        the fault reaches neither it nor a shared fixture."""
+        T = corpus.example_4x5()
+        presentation(T)
+
+        def faulty(M):
             monkeypatch.setattr(groups, "smith_normal_form", smith_normal_form)
-            return SmithForm([2 * d for d in snf.diagonal], snf.U, snf.V,
+            snf = smith_normal_form(M)
+            return SmithForm([change(d) for d in snf.diagonal], snf.U, snf.V,
                              snf.U_inv, snf.V_inv)
 
-        monkeypatch.setattr(groups, "smith_normal_form", doubled)
-        with pytest.raises(AssertionError, match="not in the lattice"):
-            subgroup_H(ex45)
+        monkeypatch.setattr(groups, "smith_normal_form", faulty)
+        return T
+
+    def test_exact_division_is_checked(self, monkeypatch):
+        # G = Z^2 + Z14: the relation row 14 e_k has coordinates 14 V'_kj,
+        # and V'_k, a row of a unimodular matrix, has an entry prime to 3
+        T = self.generators_fault(monkeypatch, lambda d: 3 * d)
+        with pytest.raises(InternalCheckFailed, match="not in the lattice"):
+            subgroup_H(T)
+
+    def test_zero_diagonal_entry_is_checked(self, monkeypatch):
+        # with every d'_j = 0 no nonzero relation row is in the lattice
+        T = self.generators_fault(monkeypatch, lambda d: 0)
+        with pytest.raises(InternalCheckFailed, match="not in the lattice"):
+            subgroup_H(T)
+
+    def test_products_with_cyclic_groups(self, products):
+        for T, G, H in products.values():
+            assert presentation(T) == groups.AbelianGroupStructure(*G)
+            assert subgroup_H(T) == rational_oracle.subgroup_H(T)
+            assert subgroup_H(T) == groups.AbelianGroupStructure(*H)
+
+
+def test_one_smith_form_of_B_per_bitrade(monkeypatch):
+    # G, the images, H and the rank all read one verified Smith form of B
+    shapes = []
+
+    def counted(M):
+        shapes.append((len(M), len(M[0]) if M else 0))
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(groups, "smith_normal_form", counted)
+    T = corpus.example_4x5()
+    B, labels = relation_matrix(T)
+    for _ in range(2):
+        presentation(T)
+        canonical_images(T)
+        is_abelian_embeddable(T)
+        subgroup_H(T)
+        integer_homotopy_rank(T)
+    assert shapes.count((len(B), len(labels))) == 1
+    # H's two forms work on at most |K| = 3 columns: Z14 and two free ones
+    assert all(cols <= 3 for _, cols in shapes[1:])
 
 
 def test_spherical_H_check_survives_optimize_flag():
