@@ -61,13 +61,10 @@ def _relation_smith(T):
     return T._relation_smith
 
 
-def _structure(labels, snf):
-    return AbelianGroupStructure(len(labels) - snf.rank, tuple(snf.invariant_factors))
-
-
 def presentation(T):
     """Structure of G(T) = Z^m / rowlattice(B)."""
-    return _structure(*_relation_smith(T))
+    labels, snf = _relation_smith(T)
+    return AbelianGroupStructure(len(labels) - snf.rank, tuple(snf.invariant_factors))
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ def canonical_images(T):
         )
         if any(combined):
             raise InternalCheckFailed(f"additive law fails at {p}")
-    return CanonicalImages(_structure(labels, snf), images, moduli)
+    return CanonicalImages(presentation(T), images, moduli)
 
 
 def is_abelian_embeddable(T):
