@@ -10,6 +10,7 @@ that pair.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 ROW, COL, SYM = 0, 1, 2
@@ -204,12 +205,13 @@ def build_bitrade(star, delta):
 
     universes = []
     for role in (ROW, COL, SYM):
-        labels = sorted({t[role] for t in star} | {t[role] for t in delta})
+        in_star = {t[role] for t in star}
+        labels = sorted(in_star | {t[role] for t in delta})
         if len({lab.index for lab in labels}) != len(labels):
             raise ValueError(f"duplicate {ROLE_NAMES[role]} label index")
         if len({lab.name for lab in labels}) != len(labels):
             raise ValueError(f"duplicate {ROLE_NAMES[role]} label name")
-        if any(lab not in {t[role] for t in star} for lab in labels):
+        if len(labels) != len(in_star):
             raise ValueError(f"{ROLE_NAMES[role]} label missing from star")
         universes.append(tuple(labels))
 
@@ -283,15 +285,18 @@ def is_indecomposable(T):
 
 
 def is_separated_bitrade(T):
-    """True iff every label's star triples form a single tau cycle."""
+    """True iff every label's star triples form a single tau cycle.
+
+    tau_j fixes coordinate j, so the tau_j cycle through any star triple
+    of a label stays among that label's star triples; they form one
+    cycle iff that cycle is as long as the label has star triples.  One
+    tau pass over the star per role, building no per-label sets.
+    """
     for role in (ROW, COL, SYM):
-        carrying = {}
-        for p in T.star:
-            carrying.setdefault(p[role], []).append(p)
-        for lab in T.universe(role):
-            group = carrying[lab]
-            if set(tau_cycle(T, role, group[0])) != set(group):
-                return False
+        count = Counter(p[role] for p in T.star)
+        start = {p[role]: p for p in T.star}
+        if any(len(tau_cycle(T, role, p)) != count[lab] for lab, p in start.items()):
+            return False
     return True
 
 

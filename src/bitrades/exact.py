@@ -1,32 +1,26 @@
-"""Exact integer and rational dense linear algebra, with integer arithmetic only.
+"""Exact dense linear algebra over the integers, with integer arithmetic only.
 
-Everything here works on plain lists of lists.  One routine,
+Everything here works on plain lists of lists of ints.  One routine,
 ``eliminate``, does all elimination: fraction-free Gauss-Jordan, whose
-divisions by the previous pivot are exact.  ``gauss_solve`` scales each
-equation to integers first, and ``Fraction`` appears only in its answer;
-the pointed solver and the deleted-column minors read the reduced rows.
-``smith_normal_form`` carries the inverses of its transforms alongside
-them, proves U and V unimodular by checking U U_inv = I and
-V V_inv = I, and then checks U M V = D as M V = U_inv D.  ``groups``
-computes the Smith form of a bitrade's relation matrix once and reads
-G(T), H(T), the canonical images and the rank of B from it.
+divisions by the previous pivot are exact; the pointed solver and the
+deleted-column minors read its reduced rows.  ``smith_normal_form``
+carries V's inverse alongside V and certifies, on every call, that M
+and its diagonal D have isomorphic cokernels through x -> x V:
+V V_inv = I, U (M V) = D, every column of M V is a multiple of its
+d_k, and the divisibility chain holds.  ``groups`` computes the Smith
+form of a bitrade's relation matrix once and reads G(T), H(T), the
+canonical images and the rank of B from it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import InternalCheckFailed
 
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    return [_row_times(Ai, B) for Ai in A]
 
 
 def _row_times(v, B):
@@ -38,30 +32,8 @@ def _row_times(v, B):
     return out
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def _integer_row(row):
-    """(scale * row, scale) with scale the lcm of the entries' denominators."""
-    scale = 1
-    # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
-    for x in row:
-        scale = math.lcm(scale, x.denominator)
-    return [int(x * scale) for x in row], scale
-
-
-@dataclass
-class GaussResult:
-    """Outcome of exact Gaussian elimination on A x = b."""
-
-    status: str  # "unique" | "no_solution" | "non_unique"
-    solution: list | None
-    rank: int
-
-
 def eliminate(M, width):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in place.
+    """Bareiss (fraction-free) Gauss-Jordan elimination of integer rows, in place.
 
     Pivots are sought in the first ``width`` columns; later columns
     (right-hand sides) are carried along.  Every step updates whole
@@ -95,36 +67,22 @@ def eliminate(M, width):
     return pivots, prev
 
 
-def gauss_solve(A, b):
-    """Solve A x = b exactly over the rationals.
-
-    A is a (possibly rectangular) matrix of integers or Fractions, b a
-    list.  Each equation is scaled to integers by the lcm of its
-    denominators before ``eliminate``.  The GaussResult's solution, when
-    unique, is one reduced Fraction per unknown.
-    """
-    m = len(A[0]) if A else 0
-    M = [_integer_row([*row, rhs])[0] for row, rhs in zip(A, b)]
-    pivots, d = eliminate(M, m)
-    r = len(pivots)
-    if any(row[m] for row in M[r:]):
-        return GaussResult("no_solution", None, r)
-    if r < m:
-        return GaussResult("non_unique", None, r)
-    return GaussResult("unique", [Fraction(row[m], d) for row in M[:r]], r)
-
-
 @dataclass
 class SmithForm:
-    """U @ M @ V = D with U, V unimodular and D = diag(d_1 | d_2 | ...).
+    """U @ M @ V = D with D = diag(d_1 | d_2 | ...), certified for cokernels.
 
-    U_inv and V_inv are the integer inverses of U and V.
+    What ``smith_normal_form`` proves on every call: V V_inv = I, so V
+    is unimodular and V_inv is its inverse; U M V = D; every column k of
+    M V is a multiple of d_k, and 0 where d_k = 0 or k >= len(diagonal);
+    and d_k | d_{k+1}.  Hence rowlattice(M V) = rowlattice(D), and
+    x -> x V maps Z^m / rowlattice(M) onto Z^m / rowlattice(D).  U is
+    unimodular by construction, a product of elementary row operations,
+    but that is not re-proven at run time.
     """
 
     diagonal: list  # length min(rows, cols), d_k >= 0, d_k | d_{k+1}
     U: list
     V: list
-    U_inv: list
     V_inv: list
 
     @property
@@ -137,29 +95,23 @@ class SmithForm:
 
 
 def smith_normal_form(M):
-    """Smith normal form of an integer matrix, with transforms and their inverses.
+    """Smith normal form of an integer matrix, with its transforms and V's inverse.
 
-    Every elementary row operation applied to U is undone on the columns
-    of U_inv, and every column operation applied to V on the rows of
-    V_inv, so the inverses cost no elimination.  The pivot is the first
-    entry of least absolute value; a unit pivot ends the scan and needs
-    no divisibility pass.  The returned form is re-verified on every
-    call: U U_inv = I and V V_inv = I are confirmed, U M V = D is checked
-    as M V = U_inv D, and so is the divisibility chain.  An integer
-    matrix with an integer inverse has determinant +-1, so this proves
-    both transforms unimodular.
+    Every elementary column operation applied to V is undone on the rows
+    of V_inv, so the inverse costs no elimination.  The pivot is the
+    first entry of least absolute value; a unit pivot ends the scan and
+    needs no divisibility pass.  Every returned form has passed
+    ``_verify_smith``; the SmithForm docstring says what that proves.
     """
     n = len(M)
     m = len(M[0]) if n else 0
     A = [[int(x) for x in row] for row in M]
-    U, U_inv = identity(n), identity(n)
+    U = identity(n)
     V, V_inv = identity(m), identity(m)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
-        for row in U_inv:
-            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in A:
@@ -171,8 +123,6 @@ def smith_normal_form(M):
     def add_row(dst, src, q):
         A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
         U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
-        for row in U_inv:
-            row[src] -= q * row[dst]
 
     def add_col(dst, src, q):
         for row in A:
@@ -184,8 +134,6 @@ def smith_normal_form(M):
     def negate_row(i):
         A[i] = [-x for x in A[i]]
         U[i] = [-x for x in U[i]]
-        for row in U_inv:
-            row[i] = -row[i]
 
     t = 0
     while t < min(n, m):
@@ -242,27 +190,35 @@ def smith_normal_form(M):
         t += 1
 
     diagonal = [A[k][k] for k in range(min(n, m))]
-    _verify_smith(M, diagonal, U, V, U_inv, V_inv)
-    return SmithForm(diagonal, U, V, U_inv, V_inv)
+    _verify_smith(M, diagonal, U, V, V_inv)
+    return SmithForm(diagonal, U, V, V_inv)
 
 
-def _verify_smith(M, diagonal, U, V, U_inv, V_inv):
-    """Check U U_inv = I, V V_inv = I, U M V = D and the divisibility chain.
+def _verify_smith(M, diagonal, U, V, V_inv):
+    """Certify rowlattice(M V) = rowlattice(D), V unimodular, and the chain.
 
-    Once U_inv is proven to be U's inverse, U M V = D is checked as the
-    equivalent M V = U_inv D, one sparse row of M times V per row.
-    Every product is formed one row at a time, so no n x n product or
-    identity matrix is built.
+    V V_inv = I proves V unimodular.  U (M V) = D, row by row, puts each
+    row of D in rowlattice(M V); every column k of M V divisible by d_k
+    (0 where d_k = 0 or past the diagonal) puts each row of M V in
+    rowlattice(D).  Every product is formed one sparse row at a time,
+    so no identity matrix is built.
     """
-    for P, P_inv in ((U, U_inv), (V, V_inv)):
-        for i, Pi in enumerate(P):
-            row = _row_times(Pi, P_inv)
-            if row[i] != 1 or any(row[:i]) or any(row[i + 1:]):
-                raise InternalCheckFailed("smith normal form transforms are not unimodular")
-    padding = [0] * (len(V) - len(diagonal))
-    for Mi, Ui_inv in zip(M, U_inv):
-        if _row_times(Mi, V) != [u * d for u, d in zip(Ui_inv, diagonal)] + padding:
+    for i, Vi in enumerate(V):
+        row = _row_times(Vi, V_inv)
+        if row[i] != 1 or any(row[:i]) or any(row[i + 1:]):
+            raise InternalCheckFailed("smith normal form transform V is not unimodular")
+    diag = diagonal + [0] * (len(V) - len(diagonal))
+    MV = [_row_times(Mi, V) for Mi in M]
+    for i, Ui in enumerate(U):
+        want = [0] * len(diag)
+        if i < len(diagonal):
+            want[i] = diagonal[i]
+        if _row_times(Ui, MV) != want:
             raise InternalCheckFailed("smith normal form verification failed: U M V != D")
+    for row in MV:
+        if any(x % d if d else x for x, d in zip(row, diag)):
+            raise InternalCheckFailed(
+                "smith normal form verification failed: M V is not in the row lattice of D")
     for a, b in zip(diagonal, diagonal[1:]):
         if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
             raise InternalCheckFailed("smith normal form divisibility chain broken")

@@ -106,18 +106,6 @@ def find_trigons(T):
     return out
 
 
-def scan_trigons_bruteforce(T):
-    """Trigons by full enumeration of the label cube (test oracle)."""
-    out = []
-    for r in T.rows:
-        for c in T.cols:
-            for s in T.syms:
-                tg = trigon_at(T, Triple(r, c, s))
-                if tg is not None:
-                    out.append(tg)
-    return out
-
-
 def _path_steps(T, tg):
     """The closed path P around the trigon, as directed tau steps.
 

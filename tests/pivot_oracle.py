@@ -14,8 +14,17 @@ import math
 from fractions import Fraction
 
 import rational_oracle
-from bitrades.exact import _integer_row, eliminate
+from bitrades.exact import eliminate
 from bitrades.groups import DetInvarianceReport, relation_matrix
+
+
+def _integer_row(row):
+    """(scale * row, scale) with scale the lcm of the entries' denominators."""
+    scale = 1
+    # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
+    for x in row:
+        scale = math.lcm(scale, x.denominator)
+    return [int(x * scale) for x in row], scale
 
 
 def build_system(T, pivot):

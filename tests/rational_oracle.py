@@ -1,18 +1,38 @@
 """Slow rational reference paths, kept as oracles for the integer-only library.
 
-``gauss_solve`` is plain Gauss-Jordan over ``Fraction``.  ``subgroup_H``
-computes H(T) the long way: one generator per star triple and role, a
-basis of L + N from an explicitly inverted V, and the coordinates of
-every relation row found by a rational solve in that basis.
+``gauss_solve`` is plain Gauss-Jordan over ``Fraction``; ``mat_mul`` and
+``transpose`` are the dense products the tests check results with.
+``subgroup_H`` computes H(T) the long way: one generator per star triple
+and role, a basis of L + N from an explicitly inverted V, and the
+coordinates of every relation row found by a rational solve in that
+basis.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from bitrades.core import COL, ROW
-from bitrades.exact import GaussResult, smith_normal_form, transpose
+from bitrades.exact import _row_times, smith_normal_form
 from bitrades.groups import AbelianGroupStructure, relation_matrix
+
+
+def mat_mul(A, B):
+    return [_row_times(Ai, B) for Ai in A]
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+@dataclass
+class GaussResult:
+    """Outcome of rational Gauss-Jordan elimination on A x = b."""
+
+    status: str  # "unique" | "no_solution" | "non_unique"
+    solution: list | None
+    rank: int
 
 
 def gauss_solve(A, b):

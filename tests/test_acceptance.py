@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from bitrades.core import COL, ROW, SYM, is_isotopic, metrics
-from bitrades.exact import mat_mul, smith_normal_form
+from bitrades.exact import smith_normal_form
 from bitrades.geometry import dissect, extract_bitrade
 from bitrades.groups import (
     check_det_invariance,
@@ -31,11 +31,12 @@ from bitrades.trigons import (
     embed_product,
     find_trigons,
     recombine,
-    scan_trigons_bruteforce,
     separate,
     split,
 )
 from conftest import triple_by_names
+from rational_oracle import mat_mul
+from scan_oracle import scan_trigons_bruteforce
 from test_exact import cofactor_det
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import scan_oracle
 from bitrades.core import (
     COL,
     ROW,
@@ -150,6 +151,18 @@ class TestMetrics:
             for k in range(1, n):
                 T = cayley_bitrade(n, k, names, [range(n)] * 3)
                 assert is_separated_bitrade(T) == (math.gcd(n, k) == 1)
+
+    def test_separated_matches_per_label_oracle(self, spherical_corpus, seeded_spherical,
+                                                toroidal, toroidal_swapped,
+                                                two_intercalates, pinched_intercalates):
+        instances = [*spherical_corpus.values(), *seeded_spherical, toroidal,
+                     toroidal_swapped, two_intercalates, pinched_intercalates]
+        for n in range(2, 7):
+            names = [[f"{prefix}{i}" for i in range(n)] for prefix in "rcs"]
+            instances += [cayley_bitrade(n, k, names, [range(n)] * 3) for k in range(1, n)]
+        verdicts = [is_separated_bitrade(T) for T in instances]
+        assert verdicts == [scan_oracle.is_separated_bitrade(T) for T in instances]
+        assert True in verdicts and False in verdicts
 
 
 class TestSemidual:

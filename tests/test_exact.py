@@ -1,21 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rational_oracle
 from bitrades.core import InternalCheckFailed
-from bitrades.exact import (
-    _verify_smith,
-    eliminate,
-    gauss_solve,
-    mat_mul,
-    smith_normal_form,
-    transpose,
-)
-from pivot_oracle import determinant, rank
-from rational_oracle import invert_unimodular
+from bitrades.exact import _verify_smith, eliminate, identity, smith_normal_form
+from pivot_oracle import _integer_row, determinant, rank
+from rational_oracle import invert_unimodular, mat_mul, transpose
 
 
 def cofactor_det(A):
@@ -47,43 +40,58 @@ small_rationals = st.one_of(
 )
 
 
+def gauss_solve(A, b):
+    """(status, rank, solution) of A x = b from one elimination of [A | b].
+
+    Rational rows are scaled to integers; row k < rank then holds d x_k
+    in the last column, and a later row with a nonzero there is 0 = c.
+    """
+    m = len(A[0]) if A else 0
+    M = [_integer_row([*row, rhs])[0] for row, rhs in zip(A, b)]
+    pivots, d = eliminate(M, m)
+    r = len(pivots)
+    if any(row[m] for row in M[r:]):
+        return "no_solution", r, None
+    if r < m:
+        return "non_unique", r, None
+    return "unique", r, [Fraction(row[m], d) for row in M[:r]]
+
+
 def assert_same_as_oracle(A, b):
-    got, want = gauss_solve(A, b), rational_oracle.gauss_solve(A, b)
-    assert (got.status, got.rank, got.solution) == (want.status, want.rank, want.solution)
-    if got.solution is not None:
-        assert all(type(x) is Fraction for x in got.solution)
+    want = rational_oracle.gauss_solve(A, b)
+    got = gauss_solve(A, b)
+    assert got == (want.status, want.rank, want.solution)
+    assert all(type(x) is Fraction for x in got[2] or [])
 
 
 class TestGaussSolve:
     def test_unique(self):
-        res = gauss_solve([[2, 1], [1, 3]], [5, 10])
-        assert res.status == "unique"
-        assert res.solution == [Fraction(1), Fraction(3)]
+        status, _, solution = gauss_solve([[2, 1], [1, 3]], [5, 10])
+        assert status == "unique"
+        assert solution == [Fraction(1), Fraction(3)]
 
     def test_no_solution(self):
-        res = gauss_solve([[1, 1], [2, 2]], [1, 3])
-        assert res.status == "no_solution"
-        assert res.rank == 1
+        assert gauss_solve([[1, 1], [2, 2]], [1, 3])[:2] == ("no_solution", 1)
 
     def test_non_unique(self):
-        res = gauss_solve([[1, 1], [2, 2]], [1, 2])
-        assert res.status == "non_unique"
+        status, _, _ = gauss_solve([[1, 1], [2, 2]], [1, 2])
+        assert status == "non_unique"
 
     def test_rectangular(self):
         # 3 equations, 2 unknowns, consistent
-        res = gauss_solve([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
-        assert res.status == "unique"
-        assert res.solution == [2, 3]
+        status, _, solution = gauss_solve([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
+        assert status == "unique"
+        assert solution == [2, 3]
 
     @given(square_matrices(3), st.lists(st.integers(-6, 6), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_solution_satisfies_system(self, A, x):
         b = [sum(a * xi for a, xi in zip(row, x)) for row in A]
-        res = gauss_solve(A, b)
-        assert res.status in ("unique", "non_unique")
-        if res.status == "unique":
+        status, _, solution = gauss_solve(A, b)
+        assert status in ("unique", "non_unique")
+        if status == "unique":
             for row, bi in zip(A, b):
-                assert sum(a * xi for a, xi in zip(row, res.solution)) == bi
+                assert sum(a * xi for a, xi in zip(row, solution)) == bi
 
 
 class TestGaussSolveAgainstRationalOracle:
@@ -217,57 +225,72 @@ class TestSmithNormalForm:
         assert snf.rank == rank(M)
 
     def test_transforms_are_invertible(self):
+        # invert_unimodular raises unless the inverse is an integer matrix
         snf = smith_normal_form([[6, 10], [15, 4]])
-        for M, carried in ((snf.U, snf.U_inv), (snf.V, snf.V_inv)):
-            inv = invert_unimodular(M)
-            n = len(M)
-            assert mat_mul(M, inv) == [
-                [1 if i == j else 0 for j in range(n)] for i in range(n)
-            ]
-            assert carried == inv
+        for M in (snf.U, snf.V):
+            assert mat_mul(M, invert_unimodular(M)) == identity(len(M))
+        assert snf.V_inv == invert_unimodular(snf.V)
 
     @given(st.integers(1, 5), st.integers(1, 5), st.data())
     @settings(max_examples=60, deadline=None)
     def test_carried_inverses_match_oracle(self, n, m, data):
         snf = smith_normal_form(data.draw(matrices(n, m, st.integers(-9, 9))))
-        assert snf.U_inv == invert_unimodular(snf.U)
+        invert_unimodular(snf.U)
         assert snf.V_inv == invert_unimodular(snf.V)
 
-    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(),
-           st.integers(-3, 3).filter(bool), st.data())
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(-3, 3).filter(bool), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_rejects_corrupted_inverse(self, n, m, corrupt_u, delta, data):
+    def test_rejects_corrupted_inverse(self, n, m, delta, data):
         M = data.draw(matrices(n, m, st.integers(-9, 9)))
         snf = smith_normal_form(M)
-        inverses = [[row[:] for row in snf.U_inv], [row[:] for row in snf.V_inv]]
-        target = inverses[0 if corrupt_u else 1]
-        i = data.draw(st.integers(0, len(target) - 1))
-        j = data.draw(st.integers(0, len(target) - 1))
-        target[i][j] += delta
+        V_inv = [row[:] for row in snf.V_inv]
+        i = data.draw(st.integers(0, m - 1))
+        j = data.draw(st.integers(0, m - 1))
+        V_inv[i][j] += delta
         with pytest.raises(AssertionError, match="not unimodular"):
-            _verify_smith(M, snf.diagonal, snf.U, snf.V, *inverses)
+            _verify_smith(M, snf.diagonal, snf.U, snf.V, V_inv)
 
     @given(st.integers(1, 4), st.integers(1, 4), st.booleans(),
            st.integers(-3, 3).filter(bool), st.data())
     @settings(max_examples=80, deadline=None)
     def test_rejects_corrupted_transform(self, n, m, corrupt_u, delta, data):
-        # U M V = D is checked as M V = U_inv D, which holds for any U;
-        # U U_inv = I is what ties a corrupted U to its carried inverse
+        # a change of U_ij adds delta (M V)_j to row i of U M V, and
+        # (M V)_j = 0 exactly when row j of M is 0
         M = data.draw(matrices(n, m, st.integers(-9, 9)))
         snf = smith_normal_form(M)
         transforms = [[row[:] for row in snf.U], [row[:] for row in snf.V]]
         target = transforms[0 if corrupt_u else 1]
         i = data.draw(st.integers(0, len(target) - 1))
         j = data.draw(st.integers(0, len(target) - 1))
+        if corrupt_u:
+            assume(any(M[j]))
         target[i][j] += delta
-        with pytest.raises(InternalCheckFailed, match="not unimodular"):
-            _verify_smith(M, snf.diagonal, *transforms, snf.U_inv, snf.V_inv)
+        message = "U M V != D" if corrupt_u else "not unimodular"
+        with pytest.raises(InternalCheckFailed, match=message):
+            _verify_smith(M, snf.diagonal, *transforms, snf.V_inv)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rejects_scaled_diagonal_entry(self, n, m, c, data):
+        # c U_k (M V) = c d_k e_k keeps U M V = D and the chain, but column
+        # k of M V = U^-1 D is d_k times a column of the unimodular U^-1,
+        # whose entries have no common factor c
+        M = data.draw(matrices(n, m, st.integers(-9, 9)))
+        snf = smith_normal_form(M)
+        assume(snf.rank)
+        k = snf.rank - 1
+        U = [row[:] for row in snf.U]
+        U[k] = [c * x for x in U[k]]
+        diagonal = snf.diagonal[:]
+        diagonal[k] *= c
+        with pytest.raises(InternalCheckFailed, match="not in the row lattice of D"):
+            _verify_smith(M, diagonal, U, snf.V, snf.V_inv)
 
     def test_failure_is_an_internal_check(self):
         M = [[2, 4], [6, 8]]
         snf = smith_normal_form(M)
         with pytest.raises(InternalCheckFailed, match="U M V != D"):
-            _verify_smith(M, [2 * d for d in snf.diagonal], snf.U, snf.V, snf.U_inv, snf.V_inv)
+            _verify_smith(M, [2 * d for d in snf.diagonal], snf.U, snf.V, snf.V_inv)
 
 
 class TestInvertUnimodular:

@@ -18,12 +18,12 @@ from bitrades.trigons import (
     inner_circumference,
     locate_trigon,
     recombine,
-    scan_trigons_bruteforce,
     separate,
     separate_trace,
     split,
     trigon_at,
 )
+from scan_oracle import scan_trigons_bruteforce
 
 
 @pytest.fixture(scope="module")
