@@ -31,7 +31,7 @@ EXIT_INTERNAL = 6
 def _load(path):
     try:
         return jsonio.load(path)
-    except FileNotFoundError as e:
+    except OSError as e:  # missing, a directory, unreadable
         raise jsonio.ParseError(str(e)) from e
 
 

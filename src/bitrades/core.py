@@ -9,9 +9,10 @@ that pair.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 ROW, COL, SYM = 0, 1, 2
 ROLE_NAMES = ("row", "col", "sym")
@@ -53,41 +54,37 @@ class AxiomViolation(BitradeError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True, order=True)
-class Label:
+class Label(NamedTuple):
     role: int  # ROW, COL or SYM
     index: int
-    name: str = field(compare=False)
+    name: str
 
     def __repr__(self):
         return f"{ROLE_NAMES[self.role]}({self.name})"
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
-    row: Label
-    col: Label
-    sym: Label
+class Triple(tuple):
+    """The labels (row, col, sym) of one cell; it hashes, orders and indexes as a tuple."""
 
-    def __post_init__(self):
-        if (self.row.role, self.col.role, self.sym.role) != (ROW, COL, SYM):
-            raise ValueError(f"label roles do not match triple positions: {self}")
+    __slots__ = ()
 
-    def __getitem__(self, i):
-        return (self.row, self.col, self.sym)[i]
+    def __new__(cls, row, col, sym):
+        if (row.role, col.role, sym.role) != (ROW, COL, SYM):
+            raise ValueError(f"label roles do not match triple positions: {(row, col, sym)}")
+        return tuple.__new__(cls, (row, col, sym))
 
-    def labels(self):
-        return (self.row, self.col, self.sym)
+    def __getnewargs__(self):  # copy and pickle call __new__ with the three labels
+        return tuple(self)
+
+    row = property(itemgetter(ROW))
+    col = property(itemgetter(COL))
+    sym = property(itemgetter(SYM))
 
     def names(self):
         return (self.row.name, self.col.name, self.sym.name)
 
     def __repr__(self):
         return "({},{},{})".format(*self.names())
-
-
-def _other(pair):
-    return 3 - pair[0] - pair[1]
 
 
 class Bitrade:
@@ -144,9 +141,6 @@ class Bitrade:
 
     def delta_partner(self, triple, pair):
         return self._delta_pair[pair][(triple[pair[0]], triple[pair[1]])]
-
-    def star_pair_key(self, pair, key):
-        return self._star_pair[pair].get(key)
 
     def delta_pair_key(self, pair, key):
         return self._delta_pair[pair].get(key)
@@ -388,7 +382,7 @@ def is_isotopic(T, S):
                 if current[p] != q:
                     return False
                 continue
-            for pl, ql in zip(p.labels(), q.labels()):
+            for pl, ql in zip(p, q):
                 if mapping.get(pl, ql) != ql:
                     return False
                 mapping[pl] = ql

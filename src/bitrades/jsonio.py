@@ -30,7 +30,8 @@ def _triples(doc, key, rows, cols, syms):
         raise ParseError(f'"{key}" must be a list of [row, col, sym] triples')
     out = []
     for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 3):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(isinstance(x, str) for x in entry)):
             raise ParseError(f'bad entry in "{key}": {entry!r}')
         r, c, s = entry
         for name, table, role in ((r, rows, "rows"), (c, cols, "cols"), (s, syms, "syms")):
@@ -48,7 +49,7 @@ def loads(text):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -65,7 +66,11 @@ def loads(text):
 
 def load(path):
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text: {e}") from e
+    return loads(text)
 
 
 def dumps(T, indent=2):

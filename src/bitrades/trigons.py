@@ -327,7 +327,7 @@ def locate_trigon(pointed, sol, b, j):
         if tg is None:
             raise LemmaViolation(f"{beta} expected to be a trigon (gap case)")
         sp = split(T, tg)
-        if b in set(sp.outer.star):
+        if sp.outer.in_star(b):
             hits.append((tg, sp))
     if len(hits) != 1:
         raise LemmaViolation(
@@ -348,7 +348,7 @@ def _separate(T, a, b, i, depth):
     if len(outer.delta) >= len(T.delta):
         raise InternalCheckFailed("the outer bitrade of a split is not smaller")
     a2 = next(p for p in outer.star if p[i] == a[i])
-    b2 = b if b in set(outer.star) else next(p for p in outer.star if p[i] == b[i])
+    b2 = b if outer.in_star(b) else next(p for p in outer.star if p[i] == b[i])
     phi, depth = _separate(outer, a2, b2, i, depth + 1)
     lifted = recombine(T, sp, phi)
     if not lifted.separates(a[i], b[i]):

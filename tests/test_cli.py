@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,34 @@ class TestValidate:
     def test_missing_file_exit_3(self, tmp_path, capsys):
         code, _, _ = run(capsys, "validate", str(tmp_path / "absent.json"))
         assert code == 3
+
+    @staticmethod
+    def bad_inputs(d, intercalate):
+        """A star entry with a list for a name, a non-UTF-8 file, a directory,
+        JSON nested deeper than the parser's recursion limit."""
+        doc = json.loads(jsonio.dumps(intercalate))
+        doc["star"][0][0] = [doc["star"][0][0]]
+        (d / "list_name.json").write_text(json.dumps(doc))
+        (d / "latin1.json").write_bytes(jsonio.dumps(intercalate).replace(
+            '"r0"', '"ré"').encode("latin-1"))
+        (d / "folder.json").mkdir()
+        (d / "deep.json").write_text("[" * 100_000)
+        return ["deep.json", "folder.json", "latin1.json", "list_name.json"]
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "dissect", "embed", "trigons"])
+    def test_bad_input_file_exit_3(self, tmp_path, capsys, intercalate, command):
+        for name in self.bad_inputs(tmp_path, intercalate):
+            code, out, err = run(capsys, command, str(tmp_path / name))
+            assert (code, out) == (3, "") and err.startswith("error: "), name
+
+    def test_bad_input_files_keep_the_report(self, tmp_path, capsys, intercalate):
+        bad = self.bad_inputs(tmp_path, intercalate)
+        jsonio.dump(intercalate, tmp_path / "intercalate.json")
+        code, out, _ = run(capsys, "report", str(tmp_path))
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and len(rows) == len(bad) + intercalate.size
+        assert sorted(r["path"] for r in rows if r["status"] == "parse error") == bad
+        assert [r["status"] for r in rows if r["path"] == "intercalate.json"] == ["ok"] * 4
 
     def test_duplicate_triple_exit_3(self, tmp_path, capsys, intercalate):
         doc = json.loads(jsonio.dumps(intercalate))
@@ -233,6 +265,25 @@ class TestReport:
         code2, out2, _ = run(capsys, "report", str(corpus_dir), "--jobs", "8")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_same_csv_under_any_hash_seed(self, corpus_dir, seeded_spherical, tmp_path):
+        # label hashes include a string hash, so set order differs between processes
+        d = tmp_path / "inputs"
+        d.mkdir()
+        for path in corpus_dir.glob("*.json"):
+            (d / path.name).write_text(path.read_text())
+        for i, T in enumerate(seeded_spherical):
+            jsonio.dump(T, d / f"spherical{i}.json")
+        src = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "bitrades.cli", "report", str(d)],
+                                  env=env, capture_output=True, text=True, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        pivots = 4 + 12 + 18 + 18 + 7 + sum(T.size for T in seeded_spherical)
+        assert len(outputs[0].splitlines()) == 1 + pivots
 
 
     @pytest.mark.parametrize("error", [AssertionError, core.InternalCheckFailed])

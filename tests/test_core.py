@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -76,6 +78,55 @@ class TestValidation:
     def test_corpus_instances_valid(self, spherical_corpus, toroidal):
         for T in list(spherical_corpus.values()) + [toroidal]:
             assert T.size == len(T.star) == len(T.delta)
+
+    def test_shared_label_index_with_another_name(self, intercalate):
+        r0, r1 = intercalate.rows
+        renamed = {r1: Label(ROW, r0.index, r1.name)}
+
+        def rename(triples):
+            return [Triple(renamed.get(t.row, t.row), t.col, t.sym) for t in triples]
+
+        with pytest.raises(ValueError, match="duplicate row label index"):
+            build_bitrade(rename(intercalate.star), rename(intercalate.delta))
+
+
+class TestValues:
+    """Labels and triples are tuples of their fields."""
+
+    def test_role_mismatch(self, intercalate):
+        r, c, s = intercalate.star[0]
+        for args in ((c, r, s), (r, s, c), (r, c, r)):
+            with pytest.raises(ValueError, match="roles do not match"):
+                Triple(*args)
+
+    def test_plain_tuples(self, ex45):
+        t = ex45.star[0]
+        for value in (t, t.row):
+            assert type(value).__bases__ == (tuple,)
+            assert not hasattr(value, "__dict__")
+        for cls in (Label, Triple):
+            assert not {"__hash__", "__eq__", "__lt__", "__getitem__"} & set(vars(cls))
+        assert tuple(t) == (t.row, t.col, t.sym) == (t[0], t[1], t[2])
+        assert tuple(t.row) == (t.row.role, t.row.index, t.row.name)
+
+    def test_hash_equality_and_order_of_the_fields(self, ex45):
+        labels = [lab for u in ex45.universes for lab in u]
+        for values in (labels, list(ex45.star + ex45.delta)):
+            plain = [tuple(v) for v in values]
+            assert [hash(v) for v in values] == [hash(p) for p in plain]
+            assert all(v == p for v, p in zip(values, plain))
+            key = {v: i for i, v in enumerate(values)}
+            assert [key[p] for p in plain] == list(range(len(values)))
+            order = sorted(range(len(values)), key=lambda i: values[i])
+            assert order == sorted(range(len(values)), key=lambda i: plain[i])
+        # the name takes part in equality
+        lab = ex45.rows[0]
+        assert Label(lab.role, lab.index, lab.name + "'") != lab
+
+    def test_copy_and_pickle(self, ex45):
+        t = ex45.star[0]
+        for again in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert type(again) is Triple and again == t and repr(again) == repr(t)
 
 
 class TestPermutations:

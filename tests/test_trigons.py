@@ -8,6 +8,7 @@ import pytest
 
 import bitrades
 from bitrades.core import COL, ROW, SYM, Triple, is_isotopic, metrics, tau
+from bitrades.groups import canonical_images
 from bitrades.solver import PointedBitrade, induced_homotopy, solve_pointed
 from bitrades.trigons import (
     ArgumentError,
@@ -224,6 +225,29 @@ class TestEmbedProduct:
                 for p in T.star:
                     assert (hom.maps[p.row] + hom.maps[p.col]
                             - hom.maps[p.sym]) % hom.modulus == 0
+
+    def test_two_maps_into_finite_groups(self, spherical_corpus, seeded_spherical):
+        """The embedding theorem, twice: T* maps into the table of a finite
+        abelian group by embed_product and by the canonical images, whose
+        two free coordinates are reduced mod an N above their spread."""
+        for T in [*spherical_corpus.values(), *seeded_spherical]:
+            pe = embed_product(T)
+            ci = canonical_images(T)
+            free = [k for k, mod in enumerate(ci.moduli) if mod == 0]
+            assert len(free) == 2
+            values = [img[k] for img in ci.images.values() for k in free]
+            n = max(values) - min(values) + 1
+            moduli = tuple(mod or n for mod in ci.moduli)
+            finite = {lab: tuple(x % mod for x, mod in zip(img, moduli))
+                      for lab, img in ci.images.items()}
+            for images, mods in ((pe.images, pe.moduli), (finite, moduli)):
+                for p in T.star:
+                    row, col, sym = (images[lab] for lab in p)
+                    assert all((x + y - z) % mod == 0
+                               for x, y, z, mod in zip(row, col, sym, mods))
+                for role in (ROW, COL, SYM):
+                    role_images = [images[lab] for lab in T.universe(role)]
+                    assert len(set(role_images)) == len(role_images)
 
 
 def test_recombination_check_survives_optimize_flag():
