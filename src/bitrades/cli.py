@@ -1,6 +1,7 @@
 """Command-line front end for batch bitrade analysis.
 
-Exit codes: 0 success, 2 axiom violation, 3 parse/usage error,
+Exit codes: 0 success, 2 axiom violation, 3 parse/usage error (argparse's
+own usage errors, a bad input or output path, a bad option value too),
 4 singular pointed system, 5 solution not separated, 6 internal check
 failed (a run-time self-check of a proven property did not hold: an
 ``InternalCheckFailed``).  In ``report`` a ``BitradeError`` or
@@ -12,10 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import core, geometry, groups, jsonio, solver, trigons
@@ -26,13 +27,6 @@ EXIT_PARSE = 3
 EXIT_SINGULAR = 4
 EXIT_NOT_SEPARATED = 5
 EXIT_INTERNAL = 6
-
-
-def _load(path):
-    try:
-        return jsonio.load(path)
-    except OSError as e:  # missing, a directory, unreadable
-        raise jsonio.ParseError(str(e)) from e
 
 
 def _pick_pivot(T, spec):
@@ -49,7 +43,7 @@ def _pick_pivot(T, spec):
 
 
 def cmd_validate(args):
-    T = _load(args.file)
+    T = jsonio.load(args.file)
     met = core.metrics(T)
     info = met.as_dict()
     info["indecomposable"] = core.is_indecomposable(T)
@@ -71,7 +65,7 @@ def cmd_validate(args):
 
 
 def cmd_solve(args):
-    T = _load(args.file)
+    T = jsonio.load(args.file)
     pivot = _pick_pivot(T, args.pivot)
     sol = solver.solve_pointed(solver.PointedBitrade(T, pivot))
     separated, witness = solver.is_separated_solution(sol)
@@ -102,7 +96,7 @@ def cmd_solve(args):
 
 
 def cmd_dissect(args):
-    T = _load(args.file)
+    T = jsonio.load(args.file)
     pivot = _pick_pivot(T, args.pivot)
     sol = solver.solve_pointed(solver.PointedBitrade(T, pivot))
     tris, report = geometry.dissect(sol)
@@ -117,7 +111,7 @@ def cmd_dissect(args):
 
 
 def cmd_embed(args):
-    T = _load(args.file)
+    T = jsonio.load(args.file)
     G = groups.presentation(T)
     H = groups.subgroup_H(T)
     embeddable, witness = groups.is_abelian_embeddable(T)
@@ -156,7 +150,7 @@ def cmd_embed(args):
 
 
 def cmd_separate(args):
-    T = _load(args.file)
+    T = jsonio.load(args.file)
     i = args.coord - 1
     if i not in (0, 1, 2):
         raise jsonio.ParseError("--coord must be 1, 2 or 3")
@@ -187,7 +181,7 @@ def cmd_separate(args):
 
 
 def cmd_trigons(args):
-    T = _load(args.file)
+    T = jsonio.load(args.file)
     found = trigons.find_trigons(T)
     if not found:
         print("none")
@@ -221,7 +215,8 @@ def _report_rows(path, T):
     met = core.metrics(T)
     trigon_count = len(trigons.find_trigons(T)) if met.separated else ""
     H = groups.subgroup_H(T)
-    det = groups.check_det_invariance(T) if T.spherical else None
+    eliminated = solver.eliminate_pivots(T, T.star)  # serves the minors and every pivot
+    det = groups.check_det_invariance(T, eliminated) if T.spherical else None
     base = {
         "path": path.name,
         "size": met.size,
@@ -232,7 +227,6 @@ def _report_rows(path, T):
         "det_B": det.common_value if det else "",
     }
     rows = []
-    eliminated = solver.eliminate_pivots(T, T.star)
     for pivot in T.star:
         row = dict(base, pivot="{},{},{}".format(*pivot.names()))
         try:
@@ -251,27 +245,32 @@ def _report_rows(path, T):
 
 
 def cmd_report(args):
-    paths = sorted(Path(args.dir).glob("*.json"))
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(_report_file, paths))
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=REPORT_FIELDS, restval="")
-    writer.writeheader()
-    for rows in results:  # results keep the sorted path order
-        for row in rows:
-            writer.writerow(row)
-    text = buf.getvalue()
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    directory = Path(args.dir)
+    if not directory.is_dir():
+        raise jsonio.ParseError(f"{args.dir} is not a directory")
+    if args.jobs < 1:
+        raise jsonio.ParseError(f"--jobs must be at least 1, not {args.jobs}")
+    # opened before any file is analysed, so a bad output path fails at once
+    sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with sink as out:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_report_file, sorted(directory.glob("*.json"))))
+        writer = csv.DictWriter(out, fieldnames=REPORT_FIELDS, restval="")
+        writer.writeheader()
+        for rows in results:  # results keep the sorted path order
+            writer.writerows(rows)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError on a usage error, so it exits 3 like every other one."""
+
+    def error(self, message):
+        raise jsonio.ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bitrades", description="latin bitrade analysis toolkit"
-    )
+    parser = _Parser(prog="bitrades", description="latin bitrade analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check axioms and report metrics")
@@ -323,25 +322,26 @@ def build_parser():
 _parser = functools.cache(build_parser)
 
 
+# the first row whose exception types match decides the exit code
+EXIT_CODES = (
+    ((jsonio.ParseError, trigons.ArgumentError, OSError), EXIT_PARSE, ""),
+    ((core.AxiomViolation, core.EmptyInput), EXIT_AXIOM, ""),
+    (solver.SingularSystem, EXIT_SINGULAR, ""),
+    (geometry.NotSeparatedSolution, EXIT_NOT_SEPARATED, ""),
+    (core.InternalCheckFailed, EXIT_INTERNAL, "internal check failed: "),
+)
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
-    except (jsonio.ParseError, trigons.ArgumentError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (core.AxiomViolation, core.EmptyInput) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_AXIOM
-    except solver.SingularSystem as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except geometry.NotSeparatedSolution as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NOT_SEPARATED
-    except core.InternalCheckFailed as e:
-        print(f"error: internal check failed: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as e:
+        for kinds, code, prefix in EXIT_CODES:
+            if isinstance(e, kinds):
+                print(f"error: {prefix}{e}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

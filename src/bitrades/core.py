@@ -294,6 +294,18 @@ def is_separated_bitrade(T):
     return True
 
 
+def first_collision(T, image):
+    """(role, label, label): the first two labels of one role, in canonical
+    order, that ``image`` maps alike; None if it is injective within each role."""
+    for role, universe in enumerate(T.universes):
+        seen = {}
+        for lab in universe:
+            first = seen.setdefault(image[lab], lab)
+            if first != lab:
+                return role, first, lab
+    return None
+
+
 @dataclass(frozen=True)
 class Metrics:
     size: int

@@ -264,7 +264,10 @@ def _fmt(v):
     return f"{float(v):.9g}"
 
 
-def to_svg(sol, side_px=600, labels=False):
+SVG_SIDE = 600  # side of the outer triangle, in SVG user units
+
+
+def to_svg(sol, labels=False):
     """Render the dissection as an SVG string, mapped to an equilateral outline.
 
     The affine map sends (x, y) to (x + y/2, sqrt(3) y / 2); SVG's
@@ -273,25 +276,21 @@ def to_svg(sol, side_px=600, labels=False):
     tris = triangles(sol)
     sigma = outer_triangle(sol)
     height = math.sqrt(3) / 2
+    margin = SVG_SIDE * 0.02
 
-    def project(p):
+    def project(p):  # formatted SVG coordinates
         x, y = float(p[0]), float(p[1])
         ex, ey = x + y / 2, height * y
-        return (side_px * ex, side_px * (height - ey) + side_px * 0.02)
+        return _fmt(SVG_SIDE * ex + margin), _fmt(SVG_SIDE * (height - ey) + margin)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{_fmt(side_px * 1.04)}" height="{_fmt(side_px * height + side_px * 0.04)}" '
-        f'viewBox="0 0 {_fmt(side_px * 1.04)} {_fmt(side_px * height + side_px * 0.04)}">'
+        f'width="{_fmt(SVG_SIDE * 1.04)}" height="{_fmt(SVG_SIDE * height + SVG_SIDE * 0.04)}" '
+        f'viewBox="0 0 {_fmt(SVG_SIDE * 1.04)} {_fmt(SVG_SIDE * height + SVG_SIDE * 0.04)}">'
     ]
-    margin = side_px * 0.02
 
     def pts(tri):
-        out = []
-        for p in tri.corners:
-            px, py = project(p)
-            out.append(f"{_fmt(px + margin)},{_fmt(py)}")
-        return " ".join(out)
+        return " ".join(",".join(project(p)) for p in tri.corners)
 
     parts.append(
         f'<polygon points="{pts(sigma)}" fill="none" stroke="black" stroke-width="2"/>'
@@ -307,7 +306,7 @@ def to_svg(sol, side_px=600, labels=False):
             px, py = project((cx, cy))
             name = ",".join(tri.source.names())
             parts.append(
-                f'<text x="{_fmt(px + margin)}" y="{_fmt(py)}" font-size="10" '
+                f'<text x="{px}" y="{py}" font-size="10" '
                 f'text-anchor="middle">{name}</text>'
             )
     parts.append("</svg>")

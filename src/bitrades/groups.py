@@ -14,16 +14,17 @@ ker B always holds the trivial homotopies k1 (1 on rows and symbols)
 and k2 (1 on columns and symbols), so nullity B >= 2, with equality iff
 every integer homotopy is trivial; each pointed system Eq(T, a) has rank
 rank B - 1 and nullity nullity B - 2 (see ``solver``).  The
-deleted-column minors come from one elimination of a fresh copy of B.
+deleted-column minors are read off the same elimination of B that
+serves the pointed systems, ``solver.eliminate_pivots``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import COL, ROW, SYM, InternalCheckFailed
-from .exact import eliminate, smith_normal_form
-from .solver import relation_matrix
+from .core import COL, ROW, InternalCheckFailed, first_collision
+from .exact import smith_normal_form
+from .solver import eliminate_pivots, relation_matrix
 
 
 @dataclass(frozen=True)
@@ -114,15 +115,10 @@ def canonical_images(T):
 
 def is_abelian_embeddable(T):
     """(verdict, witness): images injective within each role, or a colliding pair."""
-    ci = canonical_images(T)
-    for role in (ROW, COL, SYM):
-        seen = {}
-        for lab in T.universe(role):
-            img = ci.images[lab]
-            if img in seen:
-                return False, (seen[img], lab)
-            seen[img] = lab
-    return True, None
+    witness = first_collision(T, canonical_images(T).images)
+    if witness is None:
+        return True, None
+    return False, witness[1:]
 
 
 def subgroup_H(T):
@@ -186,30 +182,34 @@ class DetInvarianceReport:
     nonzero: bool
 
 
-def check_det_invariance(T):
+def check_det_invariance(T, elimination=None):
     """|det B_ij| over all admissible deleted column pairs (i, j) of a spherical T.
 
     Admissible: i indexes a row label and j a later-block label, or i a
     column label and j a symbol label.  For a spherical bitrade all
     these determinants agree and are nonzero; each is computed exactly
-    from one elimination of B (s x (s + 2)), not assumed.  If rank B < s
-    all are 0.  Otherwise, with pivot columns P, other columns n1, n2 and
-    reduced rows R = d B_P^-1 B (|d| = |det B_P|), Cramer's rule gives
-    |d| when n1, n2 are deleted; |R[p, n']| when a pivot p and one n are,
-    n' the other; and |R[p, n1] R[q, n2] - R[p, n2] R[q, n1]| / |d| when
-    pivots p, q are, a division that must be exact.
+    from one elimination of B (s x (s + 2)), not assumed: ``elimination``
+    (``solver.eliminate_pivots(T, pivots)``, any pivots) or one made here.
+    Its pivots lie in B's columns only, so those columns reduce as B alone
+    would.  If rank B < s all are 0.  Otherwise, with pivot columns P,
+    other columns n1, n2 and reduced rows R = d B_P^-1 B (|d| = |det B_P|),
+    Cramer's rule gives |d| when n1, n2 are deleted; |R[p, n']| when a
+    pivot p and one n are, n' the other; and
+    |R[p, n1] R[q, n2] - R[p, n2] R[q, n1]| / |d| when pivots p, q are, a
+    division that must be exact.
     """
     if not T.spherical:
         raise ValueError("deleted-column minors are square only for a spherical bitrade")
-    B, labels = relation_matrix(T)
-    m = len(labels)
+    E = elimination or eliminate_pivots(T, [])
+    if E.bitrade is not T:
+        raise ValueError("the elimination is not of this bitrade")
+    m, d = len(E.labels), E.d
     o1, o2 = len(T.rows), len(T.cols)
     pairs = [(i, j) for i in range(o1) for j in range(o1, m)]
     pairs += [(i, j) for i in range(o1, o1 + o2) for j in range(o1 + o2, m)]
-    pivots, d = eliminate(B, m)
-    if len(pivots) < len(B):
+    if len(E.pivot_cols) < len(E.rows):
         return DetInvarianceReport(0, len(pairs), all_equal=True, nonzero=False)
-    row = dict(zip(pivots, B))  # pivot column -> its reduced row
+    row = dict(zip(E.pivot_cols, E.rows))  # pivot column -> its reduced row
     n1, n2 = (c for c in range(m) if c not in row)
     values = set()
     for pair in pairs:

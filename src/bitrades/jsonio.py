@@ -73,7 +73,7 @@ def load(path):
     return loads(text)
 
 
-def dumps(T, indent=2):
+def dumps(T):
     doc = {
         "rows": [lab.name for lab in T.rows],
         "cols": [lab.name for lab in T.cols],
@@ -81,7 +81,7 @@ def dumps(T, indent=2):
         "star": [list(t.names()) for t in T.star],
         "delta": [list(t.names()) for t in T.delta],
     }
-    return json.dumps(doc, indent=indent) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def dump(T, path):

@@ -12,7 +12,9 @@ ker B always holds the trivial homotopies k1 (1 on rows and symbols)
 and k2 (1 on columns and symbols), a solution x of B x = -e_a gives the
 solution x - x[a.row] k1 - x[a.col] k2 of Eq(T, a), which has rank
 rank(B) - 1 and nullity nullity(B) - 2.  So ``eliminate_pivots``
-eliminates B once for many pivots; ``solve_pointed`` reads each one.
+eliminates B once for many pivots; ``solve_pointed`` reads each one, and
+``groups.check_det_invariance`` reads the deleted-column minors off the
+same elimination.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import COL, ROW, SYM, Bitrade, BitradeError, InternalCheckFailed, Triple
+from .core import (
+    COL, ROW, SYM, Bitrade, BitradeError, InternalCheckFailed, Triple, first_collision,
+)
 from .exact import eliminate
 
 
@@ -150,15 +154,8 @@ def is_separated_solution(sol):
     Returns (True, None) or (False, (role, label, label)) with the first
     colliding pair in canonical order.
     """
-    T = sol.bitrade
-    for role in (ROW, COL, SYM):
-        seen = {}
-        for lab in T.universe(role):
-            v = sol.values[lab]
-            if v in seen:
-                return False, (role, seen[v], lab)
-            seen[v] = lab
-    return True, None
+    witness = first_collision(sol.bitrade, sol.values)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -189,21 +186,18 @@ class Homotopy:
 
 def induced_homotopy(sol):
     """Scale the solution by its width and reduce mod the width."""
-    n = sol.width()
-    maps = {lab: int(n * v) % n for lab, v in sol.values.items()}
-    return Homotopy.checked(sol.bitrade, n, maps)
+    n, scaled = near_values(sol)
+    return Homotopy.checked(sol.bitrade, n, {lab: v % n for lab, v in scaled.items()})
 
 
 def near_values(sol):
-    """Unreduced scaled values: n * value, so the pivot symbol maps to n."""
+    """Unreduced scaled values: n * value, so the pivot symbol maps to n.
+
+    The width n is the lcm of the values' denominators, so every n * value
+    is an integer.
+    """
     n = sol.width()
-    out = {}
-    for lab, v in sol.values.items():
-        scaled = n * v
-        if scaled.denominator != 1:
-            raise InternalCheckFailed(f"{lab} scaled by the width {n} is not an integer")
-        out[lab] = int(scaled)
-    return n, out
+    return n, {lab: int(n * v) for lab, v in sol.values.items()}
 
 
 def normalize_homotopy(hom, T, base):

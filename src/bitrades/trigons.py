@@ -21,6 +21,7 @@ from .core import (
     InternalCheckFailed,
     Triple,
     build_bitrade,
+    first_collision,
     mu,
     tau,
     tau_cycle,
@@ -174,11 +175,13 @@ def inner_circumference(T, tg):
 
 
 def _flood_inner(T, tg):
-    """Faces inside the trigon boundary, found by a flood fill.
+    """(triangular faces, star triples) inside the trigon boundary.
 
-    Face nodes are cyclic faces (labels) and triangular faces (delta
-    triples); each semidual edge joins one of each.  The fill starts at
-    the three corner faces and never crosses an edge of the path P.
+    A flood fill finds the faces: face nodes are cyclic faces (labels)
+    and triangular faces (delta triples); each semidual edge joins one of
+    each.  The fill starts at the three corner faces and never crosses an
+    edge of the path P.  The star triples are the vertices of those faces,
+    less the alphas: they lie on or inside the boundary.
     """
     _, steps = _path_steps(T, tg)
     blocked = {_edge_id(T, x, j) for x, j in steps}
@@ -200,7 +203,12 @@ def _flood_inner(T, tg):
                     if (j2, q2) not in blocked and q2 not in seen_tri:
                         seen_tri.add(q2)
                         frontier.append(q2)
-    return seen_tri, seen_cyc
+
+    inner_points = {T.star_partner(q, pair) for q in seen_tri for pair in PAIRS}
+    for lab in seen_cyc:
+        start = next(p for p in T.star if p[lab.role] == lab)
+        inner_points.update(tau_cycle(T, lab.role, start))
+    return seen_tri, inner_points - set(tg.alphas)
 
 
 @dataclass(frozen=True)
@@ -213,24 +221,12 @@ class Split:
 
 def split(T, tg):
     """Cut T along the trigon boundary into inner and outer bitrades."""
-    inner_tri, inner_cyc = _flood_inner(T, tg)
-    inner_points = set()
-    for q in inner_tri:
-        for pair in PAIRS:
-            inner_points.add(T.star_partner(q, pair))
-    for lab in inner_cyc:
-        start = next(p for p in T.star if p[lab.role] == lab)
-        inner_points.update(tau_cycle(T, lab.role, start))
-    inner_points -= set(tg.alphas)
-
-    c = tg.triple
-    s1_star = sorted(inner_points) + [c]
-    s1_delta = sorted(inner_tri)
-    s0_star = [p for p in T.star if p not in inner_points]
-    s0_delta = sorted(set(T.delta) - inner_tri) + [c]
+    inner_tri, inner_points = _flood_inner(T, tg)
+    c = tg.triple  # joins the inner star and the outer delta
     try:
-        inner = build_bitrade(s1_star, s1_delta)
-        outer = build_bitrade(s0_star, s0_delta)
+        inner = build_bitrade([*inner_points, c], inner_tri)
+        outer = build_bitrade([p for p in T.star if p not in inner_points],
+                              [*(set(T.delta) - inner_tri), c])
     except BitradeError as e:
         raise SplitInvalid(f"split pieces are not bitrades: {e}") from e
 
@@ -288,7 +284,8 @@ def locate_trigon(pointed, sol, b, j):
     Preconditions: the solution assigns equal values to the pivot's and
     b's labels at coordinate j although the labels differ.  Walks the mu
     cycle through the pivot's delta neighbours, keeps the non-degenerate
-    triples, and returns the unique gap trigon having b outside.
+    triples, and returns the unique gap trigon having b outside (b not
+    among the star triples that its flood fill reaches).
     """
     T, a = pointed.bitrade, pointed.pivot
     if b[j] == a[j] or sol.values[b[j]] != sol.values[a[j]]:
@@ -326,14 +323,13 @@ def locate_trigon(pointed, sol, b, j):
         tg = trigon_at(T, beta)
         if tg is None:
             raise LemmaViolation(f"{beta} expected to be a trigon (gap case)")
-        sp = split(T, tg)
-        if sp.outer.in_star(b):
-            hits.append((tg, sp))
+        if b not in _flood_inner(T, tg)[1]:
+            hits.append(tg)
     if len(hits) != 1:
         raise LemmaViolation(
             f"expected exactly one trigon with {b} outside, found {len(hits)}"
         )
-    return hits[0][0]
+    return hits[0]
 
 
 def _separate(T, a, b, i, depth):
@@ -348,8 +344,7 @@ def _separate(T, a, b, i, depth):
     if len(outer.delta) >= len(T.delta):
         raise InternalCheckFailed("the outer bitrade of a split is not smaller")
     a2 = next(p for p in outer.star if p[i] == a[i])
-    b2 = b if outer.in_star(b) else next(p for p in outer.star if p[i] == b[i])
-    phi, depth = _separate(outer, a2, b2, i, depth + 1)
+    phi, depth = _separate(outer, a2, b, i, depth + 1)  # b is outside the trigon
     lifted = recombine(T, sp, phi)
     if not lifted.separates(a[i], b[i]):
         raise InternalCheckFailed(f"lifted homotopy does not separate {a[i]} from {b[i]}")
@@ -396,13 +391,9 @@ def embed_product(T):
                 a = next(p for p in T.star if p[role] == x)
                 b = next(p for p in T.star if p[role] == y)
                 factors.append((role, (x, y), separate(T, a, b, role)))
-    images = {}
-    for role in (ROW, COL, SYM):
-        for lab in T.universe(role):
-            images[lab] = tuple(h.maps[lab] % h.modulus for _, _, h in factors)
-        seen = {}
-        for lab in T.universe(role):
-            if images[lab] in seen:
-                raise InternalCheckFailed(f"product map collides at {lab}")
-            seen[images[lab]] = lab
+    images = {lab: tuple(h.maps[lab] % h.modulus for _, _, h in factors)
+              for universe in T.universes for lab in universe}
+    collision = first_collision(T, images)
+    if collision:
+        raise InternalCheckFailed(f"product map collides at {collision[2]}")
     return ProductEmbedding(tuple(factors), images)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import pivot_oracle
 from bitrades import cli, core, exact, geometry, groups, jsonio, solver, trigons
 from bitrades.cli import main
 
@@ -307,6 +308,74 @@ class TestReport:
         assert lines[1] == f"ex45.json,,,,,error {error.__name__},,,,,"
         assert len(lines) == 2 + 4
         assert all(ln.startswith("intercalate.json,") and ",ok," in ln for ln in lines[2:])
+
+    def test_one_elimination_per_spherical_file(self, tmp_path, capsys, monkeypatch,
+                                                 seeded_spherical):
+        eliminate = exact.eliminate
+        count = 0
+
+        def counting(M, width):
+            nonlocal count
+            count += 1
+            return eliminate(M, width)
+
+        for module in (exact, solver, groups):
+            if getattr(module, "eliminate", None) is eliminate:
+                monkeypatch.setattr(module, "eliminate", counting)
+        for i, T in enumerate(seeded_spherical):
+            d = tmp_path / str(i)
+            d.mkdir()
+            jsonio.dump(T, d / "one.json")
+            count = 0
+            code, out, _ = run(capsys, "report", str(d))
+            assert (code, count) == (0, 1)
+            det_B = {row["det_B"] for row in csv.DictReader(io.StringIO(out))}
+            assert det_B == {str(groups.check_det_invariance(T).common_value)}
+            assert det_B == {str(pivot_oracle.check_det_invariance(T).common_value)}
+
+
+class TestUsageErrors:
+    """Each ends in exit 3 and one "error:" line, with no traceback and no output."""
+
+    @staticmethod
+    def usage_error(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_report_on_a_missing_directory_or_a_file(self, corpus_dir, tmp_path, capsys):
+        for path in (tmp_path / "absent", corpus_dir / "ex45.json"):
+            assert "is not a directory" in self.usage_error(capsys, "report", str(path))
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_report_jobs_below_1(self, corpus_dir, capsys, jobs):
+        err = self.usage_error(capsys, "report", str(corpus_dir), "--jobs", jobs)
+        assert "--jobs must be at least 1" in err
+
+    def test_report_output_in_a_missing_directory(self, corpus_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        analysed = []
+        monkeypatch.setattr(cli, "_report_file", analysed.append)
+        self.usage_error(capsys, "report", str(corpus_dir), "-o", str(tmp_path / "no" / "r.csv"))
+        assert analysed == []  # it fails before any file is analysed
+
+    def test_dissect_svg_in_a_missing_directory(self, corpus_dir, tmp_path, capsys):
+        code, _, err = run(capsys, "dissect", str(corpus_dir / "ex45.json"),
+                           "--svg", str(tmp_path / "no" / "out.svg"))
+        assert code == 3 and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        [], ["validate"], ["solve", "--pivot"], ["report", "x", "--jobs", "two"],
+        ["separate", "f.json", "--pair", "r0", "r1", "--coord", "x"],
+    ])
+    def test_argparse_errors(self, capsys, argv):
+        self.usage_error(capsys, *argv)
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0 and "usage: bitrades" in capsys.readouterr().out
 
 
 class TestRoundTrip:

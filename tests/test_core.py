@@ -15,6 +15,7 @@ from bitrades.core import (
     Triple,
     apply_isotopy,
     build_bitrade,
+    first_collision,
     is_indecomposable,
     is_isotopic,
     is_separated_bitrade,
@@ -234,6 +235,17 @@ class TestSemidual:
             assert len(set(verts)) == 3
             for v in verts:
                 assert sum(v[j] == q[j] for j in range(3)) == 2
+
+
+class TestFirstCollision:
+    def test_first_pair_in_canonical_order(self, ex45):
+        rows, cols, syms = ex45.universes
+        image = {lab: lab.index for lab in (*rows, *cols, *syms)}
+        assert first_collision(ex45, image) is None
+        image[cols[3]] = image[syms[4]] = image[syms[2]] = image[cols[1]] = -1
+        assert first_collision(ex45, image) == (COL, cols[1], cols[3])
+        image.update({cols[3]: 3})
+        assert first_collision(ex45, image) == (SYM, syms[2], syms[4])
 
 
 class TestIsotopy:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import bitrades
 import pivot_oracle
 import rational_oracle
-from bitrades import corpus, exact, groups
+from bitrades import corpus, exact, groups, solver
 from bitrades.core import (
     COL,
     ROW,
@@ -292,9 +292,19 @@ class TestDetInvariance:
             pivots, d = exact.eliminate(M, width)
             return pivots, 3 * d
 
-        monkeypatch.setattr(groups, "eliminate", tripled)
+        monkeypatch.setattr(solver, "eliminate", tripled)
         with pytest.raises(InternalCheckFailed, match="not a multiple"):
             check_det_invariance(ex45)
+
+    def test_reads_a_shared_elimination(self, spherical_corpus, seeded_spherical):
+        for T in [*spherical_corpus.values(), *seeded_spherical]:
+            shared = solver.eliminate_pivots(T, T.star)
+            assert check_det_invariance(T, shared) == check_det_invariance(T)
+
+    def test_elimination_must_be_of_this_bitrade(self, ex45, seeded_spherical):
+        for other in (seeded_spherical[0], corpus.example_4x5()):
+            with pytest.raises(ValueError, match="not of this bitrade"):
+                check_det_invariance(ex45, solver.eliminate_pivots(other, []))
 
     def test_common_value_matches_H_order(self, spherical_corpus):
         # observed experimentally on the corpus; recorded as data

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bitrades
+from bitrades import trigons
 from bitrades.core import COL, ROW, SYM, Triple, is_isotopic, metrics, tau
 from bitrades.groups import canonical_images
 from bitrades.solver import PointedBitrade, induced_homotopy, solve_pointed
@@ -199,6 +200,46 @@ class TestSeparate:
             assert hom.modulus == 4
             depths.add(depth)
         assert depths == {1}
+
+    def test_one_split_per_level(self, nested, seeded_spherical, monkeypatch):
+        """Every separation splits once per recursion level, locating the
+        trigon builds no bitrade, and each split leaves a strictly smaller
+        outer part of at least 4 star triples, so depth <= size - 4."""
+        calls = {"split": 0, "build_bitrade": 0}
+
+        def counted(name):
+            wrapped = getattr(trigons, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return wrapped(*args)
+
+            monkeypatch.setattr(trigons, name, counting)
+
+        counted("split")
+        counted("build_bitrade")
+        locate = trigons.locate_trigon
+
+        def locate_building_nothing(*args):
+            built = calls["build_bitrade"]
+            tg = locate(*args)
+            assert calls["build_bitrade"] == built
+            return tg
+
+        monkeypatch.setattr(trigons, "locate_trigon", locate_building_nothing)
+        depths = []
+        for T in [nested.bitrade, *seeded_spherical]:
+            for a in T.star:
+                for i in range(3):
+                    for y in T.universe(i):
+                        if y != a[i]:
+                            b = next(p for p in T.star if p[i] == y)
+                            calls["split"] = 0
+                            hom, depth = separate_trace(T, a, b, i)
+                            assert hom.separates(a[i], y)
+                            assert calls["split"] == depth <= T.size - 4
+                            depths.append(depth)
+        assert max(depths) >= 1  # some of these separations recurse
 
     def test_equal_labels_rejected(self, ex45):
         a = ex45.star[0]
