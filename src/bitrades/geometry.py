@@ -6,22 +6,27 @@ spherical bitrade with a separated solution these triangles dissect the
 outer triangle of the pivot.  The reverse direction recovers a pointed
 bitrade from a dissection.
 
-The tiling verifier works on the three line values (h, v, d) alone.  An
-upright triangle (d > h + v) is the open set y > h, x > v, x + y < d; an
-inverted one (d < h + v) is y < h, x < v, x + y > d.  Eliminating x and
-y from the six strict half-planes of two such triangles (Fourier-Motzkin)
-leaves one test per orientation pair: two upright triangles overlap iff
-max(h) + max(v) < min(d); two inverted ones iff min(h) + min(v) > max(d);
-an upright u and an inverted w iff u.h < w.h, u.v < w.v and w.d < u.d.
-A triangle lies in the outer one iff its three corners satisfy the outer
-triangle's three closed half-planes, since both are convex.  Every test
-is a strict or non-strict comparison of sums of Fractions, so the
-verdicts are exact, touching edges and shared vertices included.
+The verifier, the extractor and the renderer scale every line value by
+one common denominator n once and work on integers; ``Fraction``
+appears only in what they return.  The verifier works on the three line
+values (h, v, d) alone.  An upright triangle (d > h + v) is the open set y > h,
+x > v, x + y < d; an inverted one (d < h + v) is y < h, x < v, x + y > d.
+Eliminating x and y from the six strict half-planes of two such
+triangles (Fourier-Motzkin) leaves one test per orientation pair: two
+upright triangles overlap iff max(h) + max(v) < min(d); two inverted
+ones iff min(h) + min(v) > max(d); an upright u and an inverted w iff
+u.h < w.h, u.v < w.v and w.d < u.d.  A triangle lies in the outer one
+iff its corners satisfy the outer triangle's three closed half-planes,
+since both are convex; areas compare as Σ leg² against the outer leg².
+Every test compares integer sums, so the verdicts are exact, touching
+edges and shared vertices included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,8 +69,7 @@ class TriangleGeom:
 
     @property
     def corners(self):
-        c1, c2, c3 = self.lines
-        return ((c2, c1), (c2, c3 - c2), (c3 - c1, c1))
+        return _corners(*self.lines)
 
     @property
     def degenerate(self):
@@ -114,16 +118,19 @@ class DissectionReport:
     is_separated_dissection: bool
 
 
-def _side_intervals(tri):
-    """((kind, line value), (lo, hi)) for the three sides of a triangle."""
-    c1, c2, c3 = tri.lines
-    xs = sorted((c2, c3 - c1))
-    ys = sorted((c1, c3 - c2))
-    return [
-        (("h", c1), tuple(xs)),
-        (("v", c2), tuple(ys)),
-        (("d", c3), tuple(xs)),
-    ]
+def _corners(h, v, d):
+    """The (x, y) corners of the triangle with line values (h, v, d)."""
+    return (v, h), (v, d - v), (d - h, h)
+
+
+def _scale(line_triples):
+    """(n, integer triples): the line values times n, the lcm of their denominators."""
+    # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
+    n = functools.reduce(math.lcm, {x.denominator for t in line_triples for x in t}, 1)
+
+    def scaled(x):
+        return x.numerator * (n // x.denominator)
+    return n, [(scaled(h), scaled(v), scaled(d)) for h, v, d in line_triples]
 
 
 def _contiguous(intervals):
@@ -136,70 +143,62 @@ def _contiguous(intervals):
     return True
 
 
-def _contains(outer, tri):
-    """Do all corners of tri lie in the closed outer triangle?
+def _overlap(up, down):
+    """Do the interiors of two of the upright and inverted triangles meet?"""
+    return (any(max(h1, h2) + max(v1, v2) < min(d1, d2)
+                for i, (h1, v1, d1) in enumerate(up) for h2, v2, d2 in up[i + 1:])
+            or any(min(h1, h2) + min(v1, v2) > max(d1, d2)
+                   for i, (h1, v1, d1) in enumerate(down) for h2, v2, d2 in down[i + 1:])
+            or any(h1 < h2 and v1 < v2 and d2 < d1
+                   for h1, v1, d1 in up for h2, v2, d2 in down))
 
-    A degenerate outer triangle is a single point.
-    """
-    h, v, d = outer.lines
-    if d < h + v:
-        return all(y <= h and x <= v and x + y >= d for x, y in tri.corners)
-    return all(y >= h and x >= v and x + y <= d for x, y in tri.corners)
 
+def _report(n, outer, lines):
+    """The DissectionReport of integer line triples over the denominator n."""
+    up = [t for t in lines if t[2] > t[0] + t[1]]
+    down = [t for t in lines if t[2] < t[0] + t[1]]
+    solid = up + down
+    corners = [p for t in solid for p in _corners(*t)]
+    H, V, D = outer
+    if D < H + V:  # an inverted outer triangle
+        contained = all(y <= H and x <= V and x + y >= D for x, y in corners)
+    else:  # upright, or degenerate to the point (V, H)
+        contained = all(y >= H and x >= V and x + y <= D for x, y in corners)
+    leg2 = sum((d - h - v) ** 2 for h, v, d in lines)
 
-def _overlap(t1, t2):
-    """Do the interiors of two non-degenerate triangles meet?"""
-    (h1, v1, d1), (h2, v2, d2) = t1.lines, t2.lines
-    up1, up2 = d1 > h1 + v1, d2 > h2 + v2
-    if up1 and up2:
-        return max(h1, h2) + max(v1, v2) < min(d1, d2)
-    if not (up1 or up2):
-        return min(h1, h2) + min(v1, v2) > max(d1, d2)
-    if up2:
-        (h1, v1, d1), (h2, v2, d2) = (h2, v2, d2), (h1, v1, d1)
-    return h1 < h2 and v1 < v2 and d2 < d1
+    sides = {}  # (role, line value) -> the intervals that the triangles' sides cover
+    for h, v, d in solid:
+        xs, ys = sorted((v, d - h)), sorted((h, d - v))
+        for key, interval in (((ROW, h), xs), ((COL, v), ys), ((SYM, d), xs)):
+            sides.setdefault(key, []).append(interval)
+    contiguous = all(_contiguous(intervals) for intervals in sides.values())
+    valence_six = tuple(sorted(
+        (Fraction(x, n), Fraction(y, n)) for (x, y), k in Counter(corners).items() if k == 6
+    ))
+
+    non_degenerate = len(solid) == len(lines)
+    pairwise_disjoint = not _overlap(up, down)
+    is_dissection = (non_degenerate and contained and pairwise_disjoint
+                     and leg2 == (D - H - V) ** 2)
+    return DissectionReport(
+        contained=contained,
+        non_degenerate=non_degenerate,
+        pairwise_disjoint=pairwise_disjoint,
+        area_total=Fraction(leg2, 2 * n * n),
+        area_outer=Fraction((D - H - V) ** 2, 2 * n * n),
+        contiguous_sides=contiguous,
+        valence_six_points=valence_six,
+        is_dissection=is_dissection,
+        is_separated_dissection=is_dissection and contiguous and not valence_six,
+    )
 
 
 def verify_dissection(sol, tris=None):
     """Check that the triangles of a solution dissect the outer triangle."""
     if tris is None:
         tris = triangles(sol)
-    sigma = outer_triangle(sol)
-    solid = [t for t in tris if not t.degenerate]
-    non_degenerate = len(solid) == len(tris)
-    contained = all(_contains(sigma, t) for t in solid)
-    pairwise_disjoint = not any(
-        _overlap(t1, t2) for i, t1 in enumerate(solid) for t2 in solid[i + 1:]
-    )
-
-    area_total = sum((t.area for t in tris), Fraction(0))
-
-    by_line = {}
-    for t in solid:
-        for key, iv in _side_intervals(t):
-            by_line.setdefault(key, []).append(iv)
-    contiguous = all(_contiguous(ivs) for ivs in by_line.values())
-
-    corner_count = {}
-    for t in solid:
-        for p in t.corners:
-            corner_count[p] = corner_count.get(p, 0) + 1
-    valence_six = tuple(sorted(p for p, k in corner_count.items() if k == 6))
-
-    is_dissection = (
-        non_degenerate and contained and pairwise_disjoint and area_total == sigma.area
-    )
-    return DissectionReport(
-        contained=contained,
-        non_degenerate=non_degenerate,
-        pairwise_disjoint=pairwise_disjoint,
-        area_total=area_total,
-        area_outer=sigma.area,
-        contiguous_sides=contiguous,
-        valence_six_points=valence_six,
-        is_dissection=is_dissection,
-        is_separated_dissection=is_dissection and contiguous and not valence_six,
-    )
+    n, (outer, *lines) = _scale([outer_triangle(sol).lines, *(t.lines for t in tris)])
+    return _report(n, outer, lines)
 
 
 def dissect(sol):
@@ -221,47 +220,43 @@ def extract_bitrade(line_triples):
     """Recover a pointed bitrade from a dissection given as line triples.
 
     Each input is (horizontal, vertical, diagonal) line values of one
-    triangle.  The triangles become the delta; interior vertices and the
-    outer triple become the star.  The pivot is the outer triple.
+    triangle, as anything ``Fraction`` accepts.  The triangles become the
+    delta; interior vertices and the outer triple become the star.  The
+    pivot is the outer triple.
     """
-    tris = [TriangleGeom(None, tuple(Fraction(v) for v in t)) for t in line_triples]
-    if any(t.degenerate for t in tris):
+    n, lines = _scale([[x if type(x) in (int, Fraction) else Fraction(x) for x in t]
+                       for t in line_triples])
+    if any(h + v == d for h, v, d in lines):
         raise BitradeError("degenerate triangle in dissection input")
 
-    def universe(role, values):
+    def universe(role):
         prefix = "rcs"[role]
-        return {v: Label(role, i, f"{prefix}{i}") for i, v in enumerate(sorted(values))}
+        values = sorted({t[role] for t in lines})
+        return {x: Label(role, i, f"{prefix}{i}") for i, x in enumerate(values)}
 
-    rows = universe(ROW, {t.lines[0] for t in tris})
-    cols = universe(COL, {t.lines[1] for t in tris})
-    syms = universe(SYM, {t.lines[2] for t in tris})
-
-    delta = [Triple(rows[t.lines[0]], cols[t.lines[1]], syms[t.lines[2]]) for t in tris]
+    rows, cols, syms = universe(ROW), universe(COL), universe(SYM)
+    delta = [Triple(rows[h], cols[v], syms[d]) for h, v, d in lines]
 
     outer = Triple(rows[min(rows)], cols[min(cols)], syms[max(syms)])
-    sigma_corners = set(
-        TriangleGeom(None, (min(rows), min(cols), max(syms))).corners
-    )
-    corner_count = {}
-    for t in tris:
-        for p in t.corners:
-            corner_count[p] = corner_count.get(p, 0) + 1
+    sigma_corners = set(_corners(min(rows), min(cols), max(syms)))
+    corner_count = Counter(p for t in lines for p in _corners(*t))
 
     star = [outer]
     for (x, y), k in sorted(corner_count.items()):
         if (x, y) in sigma_corners:
             continue
         if k == 6:
-            raise ValenceSix((x, y))
+            raise ValenceSix((Fraction(x, n), Fraction(y, n)))
         if y not in rows or x not in cols or x + y not in syms:
-            raise BitradeError(f"vertex {(x, y)} does not lie on three dissection lines")
+            point = (Fraction(x, n), Fraction(y, n))
+            raise BitradeError(f"vertex {point} does not lie on three dissection lines")
         star.append(Triple(rows[y], cols[x], syms[x + y]))
 
     return PointedBitrade(build_bitrade(star, delta), outer)
 
 
 def _fmt(v):
-    return f"{float(v):.9g}"
+    return f"{v:.9g}"
 
 
 SVG_SIDE = 600  # side of the outer triangle, in SVG user units
@@ -273,13 +268,12 @@ def to_svg(sol, labels=False):
     The affine map sends (x, y) to (x + y/2, sqrt(3) y / 2); SVG's
     downward y axis is flipped so the outer triangle sits point-up.
     """
-    tris = triangles(sol)
-    sigma = outer_triangle(sol)
+    n, value = sol.scaled
     height = math.sqrt(3) / 2
     margin = SVG_SIDE * 0.02
 
-    def project(p):  # formatted SVG coordinates
-        x, y = float(p[0]), float(p[1])
+    def project(x, y, m=n):  # formatted SVG coordinates of the point (x / m, y / m)
+        x, y = x / m, y / m  # int / int rounds once, as float(Fraction(x, m)) does
         ex, ey = x + y / 2, height * y
         return _fmt(SVG_SIDE * ex + margin), _fmt(SVG_SIDE * (height - ey) + margin)
 
@@ -289,22 +283,22 @@ def to_svg(sol, labels=False):
         f'viewBox="0 0 {_fmt(SVG_SIDE * 1.04)} {_fmt(SVG_SIDE * height + SVG_SIDE * 0.04)}">'
     ]
 
-    def pts(tri):
-        return " ".join(",".join(project(p)) for p in tri.corners)
+    def pts(corners):
+        return " ".join(",".join(project(x, y)) for x, y in corners)
 
-    parts.append(
-        f'<polygon points="{pts(sigma)}" fill="none" stroke="black" stroke-width="2"/>'
-    )
-    for tri in sorted(tris, key=lambda t: t.source):
-        fill = "#cfe8ff" if tri.upright else "#ffe3c2"
+    a = sol.pivot
+    parts.append(f'<polygon points="{pts(_corners(value[a.row], value[a.col], value[a.sym]))}" '
+                 'fill="none" stroke="black" stroke-width="2"/>')
+    for q in sorted(sol.bitrade.delta):
+        h, v, d = value[q.row], value[q.col], value[q.sym]
+        corners = _corners(h, v, d)
+        fill = "#cfe8ff" if d > h + v else "#ffe3c2"
         parts.append(
-            f'<polygon points="{pts(tri)}" fill="{fill}" stroke="black" stroke-width="1"/>'
+            f'<polygon points="{pts(corners)}" fill="{fill}" stroke="black" stroke-width="1"/>'
         )
         if labels:
-            cx = sum(p[0] for p in tri.corners) / 3
-            cy = sum(p[1] for p in tri.corners) / 3
-            px, py = project((cx, cy))
-            name = ",".join(tri.source.names())
+            px, py = project(sum(x for x, _ in corners), sum(y for _, y in corners), 3 * n)
+            name = ",".join(q.names())
             parts.append(
                 f'<text x="{px}" y="{py}" font-size="10" '
                 f'text-anchor="middle">{name}</text>'

@@ -81,10 +81,16 @@ class Solution:
     def pivot(self):
         return self.pointed.pivot
 
+    @functools.cached_property
+    def scaled(self):
+        """(n, {label: n * value}): the values as integers over their lcm denominator n."""
+        # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
+        n = functools.reduce(math.lcm, {v.denominator for v in self.values.values()}, 1)
+        return n, {lab: v.numerator * (n // v.denominator) for lab, v in self.values.items()}
+
     def width(self):
         """Least common multiple of the value denominators (always >= 2)."""
-        # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
-        n = functools.reduce(math.lcm, (v.denominator for v in self.values.values()), 1)
+        n = self.scaled[0]
         if n < 2:
             raise InternalCheckFailed(f"solution width {n} is below 2")
         return n
@@ -154,7 +160,7 @@ def is_separated_solution(sol):
     Returns (True, None) or (False, (role, label, label)) with the first
     colliding pair in canonical order.
     """
-    witness = first_collision(sol.bitrade, sol.values)
+    witness = first_collision(sol.bitrade, sol.scaled[1])
     return witness is None, witness
 
 
@@ -196,8 +202,7 @@ def near_values(sol):
     The width n is the lcm of the values' denominators, so every n * value
     is an integer.
     """
-    n = sol.width()
-    return n, {lab: int(n * v) for lab, v in sol.values.items()}
+    return sol.width(), dict(sol.scaled[1])
 
 
 def normalize_homotopy(hom, T, base):

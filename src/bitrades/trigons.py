@@ -219,9 +219,9 @@ class Split:
     inner_points: frozenset  # star triples of T on or inside the boundary
 
 
-def split(T, tg):
-    """Cut T along the trigon boundary into inner and outer bitrades."""
-    inner_tri, inner_points = _flood_inner(T, tg)
+def split(T, tg, flood=None):
+    """Cut T along the trigon boundary into inner and outer parts; flood: _flood_inner(T, tg)."""
+    inner_tri, inner_points = flood or _flood_inner(T, tg)
     c = tg.triple  # joins the inner star and the outer delta
     try:
         inner = build_bitrade([*inner_points, c], inner_tri)
@@ -273,11 +273,6 @@ def recombine(T, sp, phi):
     return Homotopy.checked(T, mn, maps)
 
 
-def _degenerates(sol, q):
-    v = sol.values
-    return v[q.row] + v[q.col] == v[q.sym]
-
-
 def locate_trigon(pointed, sol, b, j):
     """Find the trigon that blocks separating b from the pivot at coordinate j.
 
@@ -287,8 +282,14 @@ def locate_trigon(pointed, sol, b, j):
     triples, and returns the unique gap trigon having b outside (b not
     among the star triples that its flood fill reaches).
     """
+    return _locate_trigon(pointed, sol, b, j)[0]
+
+
+def _locate_trigon(pointed, sol, b, j):
+    """locate_trigon's (trigon, _flood_inner of the trigon)."""
     T, a = pointed.bitrade, pointed.pivot
-    if b[j] == a[j] or sol.values[b[j]] != sol.values[a[j]]:
+    y = sol.scaled[1]
+    if b[j] == a[j] or y[b[j]] != y[a[j]]:
         raise NotInShrinkSituation(
             f"labels at coordinate {j} are equal or already separated"
         )
@@ -303,8 +304,8 @@ def locate_trigon(pointed, sol, b, j):
     if cycle[-1] != eta[s_coord]:
         raise LemmaViolation("mu walk did not end at the opposite corner triple")
 
-    gammas = [q for q in cycle if not _degenerates(sol, q)]
-    indices = [i for i, q in enumerate(cycle) if not _degenerates(sol, q)]
+    indices = [i for i, q in enumerate(cycle) if y[q.row] + y[q.col] != y[q.sym]]
+    gammas = [cycle[i] for i in indices]  # the non-degenerate triples
     if not gammas or gammas[0] != cycle[0] or gammas[-1] != cycle[-1]:
         raise LemmaViolation("corner triples of the pivot degenerate")
 
@@ -323,8 +324,9 @@ def locate_trigon(pointed, sol, b, j):
         tg = trigon_at(T, beta)
         if tg is None:
             raise LemmaViolation(f"{beta} expected to be a trigon (gap case)")
-        if b not in _flood_inner(T, tg)[1]:
-            hits.append(tg)
+        flood = _flood_inner(T, tg)
+        if b not in flood[1]:
+            hits.append((tg, flood))
     if len(hits) != 1:
         raise LemmaViolation(
             f"expected exactly one trigon with {b} outside, found {len(hits)}"
@@ -338,8 +340,7 @@ def _separate(T, a, b, i, depth):
     hom = induced_homotopy(sol)
     if hom.separates(a[i], b[i]):
         return hom, depth
-    tg = locate_trigon(pointed, sol, b, i)
-    sp = split(T, tg)
+    sp = split(T, *_locate_trigon(pointed, sol, b, i))
     outer = sp.outer
     if len(outer.delta) >= len(T.delta):
         raise InternalCheckFailed("the outer bitrade of a split is not smaller")

@@ -95,12 +95,16 @@ def spherical_corpus(intercalate, ex45, nested):
 
 
 @pytest.fixture(scope="session")
-def seeded_spherical():
-    """Bitrades of seeded random spherical dissections of 4 to 25 triangles."""
-    return [
-        extract_bitrade(spherical_dissection(random.Random(seed), n)).bitrade
-        for seed, n in enumerate((4, 7, 10, 13, 16, 19, 22, 25))
-    ]
+def seeded_dissections():
+    """Line triples of seeded random spherical dissections of 4 to 25 triangles."""
+    return [spherical_dissection(random.Random(seed), n)
+            for seed, n in enumerate((4, 7, 10, 13, 16, 19, 22, 25))]
+
+
+@pytest.fixture(scope="session")
+def seeded_spherical(seeded_dissections):
+    """The bitrades of the seeded dissections."""
+    return [extract_bitrade(lines).bitrade for lines in seeded_dissections]
 
 
 def intercalate_pair(second_row):

@@ -1,23 +1,33 @@
-"""Slow polygon-clipping reference paths, kept as oracles for the line-value verifier.
+"""Slow reference paths for the integer geometry of ``bitrades.geometry``.
 
-``clip_polygon`` is Sutherland-Hodgman clipping of a polygon by a convex
-polygon in exact arithmetic.  Two triangles overlap when their clipped
-intersection has nonzero area; a triangle is contained in another when
-clipping it to the other leaves its whole area.  ``verify_dissection``
-builds the whole ``DissectionReport`` that way, over all pairs.
+``verify_dissection``, ``extract_bitrade`` and ``to_svg`` are the
+``Fraction`` versions that the integer kernels replaced: the same
+interval algebra, extraction and drawing, on the rational line values
+themselves.  ``clip_polygon`` is Sutherland-Hodgman clipping of a
+polygon by a convex polygon in exact arithmetic.  Two triangles overlap
+when their clipped intersection has nonzero area; a triangle is
+contained in another when clipping it to the other leaves its whole
+area.  ``clip_verify_dissection`` builds the whole ``DissectionReport``
+that way, over all pairs.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
+from bitrades.core import COL, ROW, SYM, BitradeError, Label, Triple, build_bitrade
 from bitrades.geometry import (
+    SVG_SIDE,
     DissectionReport,
+    TriangleGeom,
+    ValenceSix,
     _contiguous,
-    _side_intervals,
     outer_triangle,
     triangles,
 )
+from bitrades.solver import PointedBitrade
 
 
 def polygon_area(points):
@@ -60,16 +70,55 @@ def contained(outer, tri):
     return abs(polygon_area(clip_polygon(list(tri.corners), list(outer.corners)))) == tri.area
 
 
-def verify_dissection(sol, tris=None):
-    """The report of ``bitrades.geometry.verify_dissection``, by clipping."""
+def _side_intervals(tri):
+    """((kind, line value), (lo, hi)) for the three sides of a triangle."""
+    c1, c2, c3 = tri.lines
+    xs = sorted((c2, c3 - c1))
+    ys = sorted((c1, c3 - c2))
+    return [
+        (("h", c1), tuple(xs)),
+        (("v", c2), tuple(ys)),
+        (("d", c3), tuple(xs)),
+    ]
+
+
+def interval_contains(outer, tri):
+    """Do all corners of tri lie in the closed outer triangle?
+
+    A degenerate outer triangle is a single point.
+    """
+    h, v, d = outer.lines
+    if d < h + v:
+        return all(y <= h and x <= v and x + y >= d for x, y in tri.corners)
+    return all(y >= h and x >= v and x + y <= d for x, y in tri.corners)
+
+
+def interval_overlap(t1, t2):
+    """Do the interiors of two non-degenerate triangles meet?"""
+    (h1, v1, d1), (h2, v2, d2) = t1.lines, t2.lines
+    up1, up2 = d1 > h1 + v1, d2 > h2 + v2
+    if up1 and up2:
+        return max(h1, h2) + max(v1, v2) < min(d1, d2)
+    if not (up1 or up2):
+        return min(h1, h2) + min(v1, v2) > max(d1, d2)
+    if up2:
+        (h1, v1, d1), (h2, v2, d2) = (h2, v2, d2), (h1, v1, d1)
+    return h1 < h2 and v1 < v2 and d2 < d1
+
+
+def verify_dissection(sol, tris=None, overlap=interval_overlap, contains=interval_contains):
+    """The report of ``bitrades.geometry.verify_dissection``, on Fractions.
+
+    overlap and contains decide the pairwise and the containment tests.
+    """
     if tris is None:
         tris = triangles(sol)
     sigma = outer_triangle(sol)
     solid = [t for t in tris if not t.degenerate]
     non_degenerate = len(solid) == len(tris)
-    is_contained = all(contained(sigma, t) for t in solid)
+    is_contained = all(contains(sigma, t) for t in solid)
     pairwise_disjoint = not any(
-        interiors_overlap(t1, t2) for i, t1 in enumerate(solid) for t2 in solid[i + 1:]
+        overlap(t1, t2) for i, t1 in enumerate(solid) for t2 in solid[i + 1:]
     )
     area_total = sum((t.area for t in tris), Fraction(0))
 
@@ -99,3 +148,92 @@ def verify_dissection(sol, tris=None):
         is_dissection=is_dissection,
         is_separated_dissection=is_dissection and contiguous and not valence_six,
     )
+
+
+clip_verify_dissection = functools.partial(
+    verify_dissection, overlap=interiors_overlap, contains=contained
+)
+
+
+def extract_bitrade(line_triples):
+    """``bitrades.geometry.extract_bitrade`` on Fraction corners."""
+    tris = [TriangleGeom(None, tuple(Fraction(v) for v in t)) for t in line_triples]
+    if any(t.degenerate for t in tris):
+        raise BitradeError("degenerate triangle in dissection input")
+
+    def universe(role, values):
+        prefix = "rcs"[role]
+        return {v: Label(role, i, f"{prefix}{i}") for i, v in enumerate(sorted(values))}
+
+    rows = universe(ROW, {t.lines[0] for t in tris})
+    cols = universe(COL, {t.lines[1] for t in tris})
+    syms = universe(SYM, {t.lines[2] for t in tris})
+
+    delta = [Triple(rows[t.lines[0]], cols[t.lines[1]], syms[t.lines[2]]) for t in tris]
+
+    outer = Triple(rows[min(rows)], cols[min(cols)], syms[max(syms)])
+    sigma_corners = set(
+        TriangleGeom(None, (min(rows), min(cols), max(syms))).corners
+    )
+    corner_count = {}
+    for t in tris:
+        for p in t.corners:
+            corner_count[p] = corner_count.get(p, 0) + 1
+
+    star = [outer]
+    for (x, y), k in sorted(corner_count.items()):
+        if (x, y) in sigma_corners:
+            continue
+        if k == 6:
+            raise ValenceSix((x, y))
+        if y not in rows or x not in cols or x + y not in syms:
+            raise BitradeError(f"vertex {(x, y)} does not lie on three dissection lines")
+        star.append(Triple(rows[y], cols[x], syms[x + y]))
+
+    return PointedBitrade(build_bitrade(star, delta), outer)
+
+
+def _fmt(v):
+    return f"{float(v):.9g}"
+
+
+def to_svg(sol, labels=False):
+    """``bitrades.geometry.to_svg`` on Fraction corners."""
+    tris = triangles(sol)
+    sigma = outer_triangle(sol)
+    height = math.sqrt(3) / 2
+    margin = SVG_SIDE * 0.02
+
+    def project(p):  # formatted SVG coordinates
+        x, y = float(p[0]), float(p[1])
+        ex, ey = x + y / 2, height * y
+        return _fmt(SVG_SIDE * ex + margin), _fmt(SVG_SIDE * (height - ey) + margin)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{_fmt(SVG_SIDE * 1.04)}" height="{_fmt(SVG_SIDE * height + SVG_SIDE * 0.04)}" '
+        f'viewBox="0 0 {_fmt(SVG_SIDE * 1.04)} {_fmt(SVG_SIDE * height + SVG_SIDE * 0.04)}">'
+    ]
+
+    def pts(tri):
+        return " ".join(",".join(project(p)) for p in tri.corners)
+
+    parts.append(
+        f'<polygon points="{pts(sigma)}" fill="none" stroke="black" stroke-width="2"/>'
+    )
+    for tri in sorted(tris, key=lambda t: t.source):
+        fill = "#cfe8ff" if tri.upright else "#ffe3c2"
+        parts.append(
+            f'<polygon points="{pts(tri)}" fill="{fill}" stroke="black" stroke-width="1"/>'
+        )
+        if labels:
+            cx = sum(p[0] for p in tri.corners) / 3
+            cy = sum(p[1] for p in tri.corners) / 3
+            px, py = project((cx, cy))
+            name = ",".join(tri.source.names())
+            parts.append(
+                f'<text x="{px}" y="{py}" font-size="10" '
+                f'text-anchor="middle">{name}</text>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

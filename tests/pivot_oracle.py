@@ -6,10 +6,13 @@ and ``solve_pointed`` solves it with the rational Gauss-Jordan of
 Bareiss determinant, and ``check_det_invariance`` takes one of them per
 admissible deleted column pair.  ``rank`` counts the pivots of one
 elimination, the rank of B before it was read off B's Smith form.
+``width`` and ``near_values`` compute a solution's width and scaled
+values directly from its ``Fraction`` values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -124,3 +127,14 @@ def check_det_invariance(T):
         all_equal=common is not None,
         nonzero=bool(common),
     )
+
+
+def width(sol):
+    """The lcm of the value denominators."""
+    return functools.reduce(math.lcm, (v.denominator for v in sol.values.values()), 1)
+
+
+def near_values(sol):
+    """(n, {label: int(n * value)}), n the width."""
+    n = width(sol)
+    return n, {lab: int(n * v) for lab, v in sol.values.items()}

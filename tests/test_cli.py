@@ -215,7 +215,7 @@ class TestSeparateAndTrigons:
     @pytest.mark.parametrize("error", [
         trigons.LemmaViolation, trigons.SplitInvalid, trigons.SpliceIdentityFailure])
     def test_trigon_check_exit_6(self, corpus_dir, capsys, monkeypatch, error):
-        def failing(T, tg):
+        def failing(*args):  # split(T, tg[, flood])
             raise error("injected")
 
         monkeypatch.setattr(trigons, "split", failing)

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +13,8 @@ from bitrades.geometry import (
     NotSeparatedSolution,
     TriangleGeom,
     ValenceSix,
-    _contains,
-    _overlap,
+    _report,
+    _scale,
     dissect,
     extract_bitrade,
     outer_triangle,
@@ -21,9 +23,15 @@ from bitrades.geometry import (
     verify_dissection,
 )
 from bitrades.core import is_isotopic
-from bitrades.solver import PointedBitrade, solve_pointed
+from bitrades.solver import PointedBitrade, eliminate_pivots, solve_pointed
 from conftest import GRID16_LINES, spherical_dissection, triple_by_names
-from geometry_oracle import clip_polygon, interiors_overlap, polygon_area
+from geometry_oracle import (
+    clip_polygon,
+    interiors_overlap,
+    interval_contains,
+    interval_overlap,
+    polygon_area,
+)
 
 H = Fraction(1, 2)
 
@@ -182,6 +190,7 @@ class TestNegativeVerdicts:
     def check(self, sol, tris):
         report = verify_dissection(sol, tris)
         assert report == geometry_oracle.verify_dissection(sol, tris)
+        assert report == geometry_oracle.clip_verify_dissection(sol, tris)
         return report
 
     def test_duplicated_triangle(self, sol):
@@ -222,6 +231,12 @@ def translated_copies(rng, tris):
     return out
 
 
+def integer_report(outer, tris):
+    """The integer kernel's report on free-standing triangles in any outer one."""
+    n, (outer, *lines) = _scale([outer.lines, *(t.lines for t in tris)])
+    return _report(n, outer, lines)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([4, 7, 10, 13]))
 def test_verdicts_match_clipping_oracle(seed, n):
@@ -233,11 +248,97 @@ def test_verdicts_match_clipping_oracle(seed, n):
     everything = tris + copies
     for t1 in everything:
         for t2 in everything:
-            assert _overlap(t1, t2) == interiors_overlap(t1, t2)
+            overlap = interiors_overlap(t1, t2)
+            assert interval_overlap(t1, t2) == overlap
+            assert integer_report(sigma, [t1, t2]).pairwise_disjoint != overlap
     for outer in [sigma] + rng.sample(everything, 3):  # upright and inverted outers
         for t in everything:
-            assert _contains(outer, t) == geometry_oracle.contained(outer, t)
+            contained = geometry_oracle.contained(outer, t)
+            assert interval_contains(outer, t) == contained
+            assert integer_report(outer, [t]).contained == contained
     i = rng.randrange(n)
     assert verify_dissection(sol, tris).is_separated_dissection
     for subset in (tris, everything, tris[:i] + [copies[i]] + tris[i + 1:]):
-        assert verify_dissection(sol, subset) == geometry_oracle.verify_dissection(sol, subset)
+        report = verify_dissection(sol, subset)
+        assert report == geometry_oracle.verify_dissection(sol, subset)
+        assert report == geometry_oracle.clip_verify_dissection(sol, subset)
+
+
+class TestAgainstFractionOracle:
+    """The integer kernels equal the Fraction paths of geometry_oracle."""
+
+    def test_reports_from_every_pivot(self, seeded_dissections):
+        for lines in seeded_dissections:
+            T = extract_bitrade(lines).bitrade
+            for pivot in T.star:
+                sol = solve_pointed(PointedBitrade(T, pivot))
+                report = verify_dissection(sol)
+                assert report == geometry_oracle.verify_dissection(sol)
+                assert all(type(c) is Fraction for p in report.valence_six_points for c in p)
+
+    def test_translated_copies(self, seeded_dissections):
+        rng = random.Random(5)
+        for lines in seeded_dissections:
+            sol = solve_pointed(extract_bitrade(lines))
+            tris = triangles(sol)
+            copies = translated_copies(rng, tris)
+            i = rng.randrange(len(tris))
+            for subset in (copies, tris + copies, tris[:i] + [copies[i]] + tris[i + 1:]):
+                report = verify_dissection(sol, subset)
+                assert report == geometry_oracle.verify_dissection(sol, subset)
+                assert type(report.area_total) is type(report.area_outer) is Fraction
+
+    def test_negative_last_pivot(self, seeded_dissections):
+        """Solutions whose elimination ends on a negative pivot d, so that
+        the raw integers y = d * value have the order of the values reversed."""
+        pointed = extract_bitrade(seeded_dissections[2])
+        T = pointed.bitrade
+        elimination = eliminate_pivots(T, T.star)
+        assert elimination.d == -8
+        for pivot in T.star:
+            sol = solve_pointed(PointedBitrade(T, pivot), elimination)
+            n, scaled = sol.scaled
+            assert n > 0 and all(scaled[lab] == n * v for lab, v in sol.values.items())
+            assert verify_dissection(sol) == geometry_oracle.verify_dissection(sol)
+            if pivot == pointed.pivot:
+                assert verify_dissection(sol).is_separated_dissection
+                assert to_svg(sol, labels=True) == geometry_oracle.to_svg(sol, labels=True)
+
+    @pytest.mark.parametrize("form", [Fraction, str, "int"])
+    def test_extract(self, seeded_dissections, form):
+        for lines in seeded_dissections:
+            if form == "int":  # the dissection scaled by its width
+                n = functools.reduce(math.lcm, {x.denominator for t in lines for x in t})
+                given = [tuple(int(x * n) for x in t) for t in lines]
+            else:
+                given = [tuple(map(form, t)) for t in lines]
+            got, want = extract_bitrade(given), geometry_oracle.extract_bitrade(given)
+            assert got.pivot == want.pivot
+            assert got.bitrade.star == want.bitrade.star
+            assert got.bitrade.delta == want.bitrade.delta
+            assert got.bitrade.star == extract_bitrade(lines).bitrade.star  # names included
+
+    def test_extract_errors(self):
+        with pytest.raises(ValenceSix) as got:
+            extract_bitrade(GRID16_LINES)
+        with pytest.raises(ValenceSix) as want:
+            geometry_oracle.extract_bitrade(GRID16_LINES)
+        assert got.value.point == want.value.point
+        assert all(type(c) is Fraction for c in got.value.point)
+        # a corner off the row lines: (0, 1/2) lies on no row line
+        loose = [(0, 0, H), (0, H, 1)]
+        with pytest.raises(BitradeError) as got:
+            extract_bitrade(loose)
+        with pytest.raises(BitradeError) as want:
+            geometry_oracle.extract_bitrade(loose)
+        assert str(got.value) == str(want.value)
+        assert "Fraction(1, 2)" in str(got.value)
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_svg_bytes(self, ex45, intercalate, labels):
+        sols = [solve(ex45, "r0", "c0", "s4"), solve(intercalate, "r0", "c0", "s0")]
+        for seed in range(20):
+            lines = spherical_dissection(random.Random(100 + seed), (4, 7, 10, 13, 16)[seed % 5])
+            sols.append(solve_pointed(extract_bitrade(lines)))
+        for sol in sols:
+            assert to_svg(sol, labels=labels) == geometry_oracle.to_svg(sol, labels=labels)

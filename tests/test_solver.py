@@ -236,6 +236,38 @@ class TestHomotopy:
         assert not hom.separates(rows[0], rows[0])
 
 
+class TestScaledView:
+    """Solution.scaled against the width and the scaled values computed
+    from the Fraction values (pivot_oracle)."""
+
+    def solutions(self, spherical_corpus, seeded_spherical, toroidal_swapped):
+        for T in [*spherical_corpus.values(), *seeded_spherical]:
+            for pivot in T.star:
+                yield solve_pointed(PointedBitrade(T, pivot))
+        for names in (("e", "d", "1"), ("y", "d", "5"), ("y", "f", "1")):
+            yield solve(toroidal_swapped, *names)
+
+    def test_width_and_near_values(self, spherical_corpus, seeded_spherical, toroidal_swapped):
+        count = 0
+        for sol in self.solutions(spherical_corpus, seeded_spherical, toroidal_swapped):
+            n, near = pivot_oracle.near_values(sol)
+            assert sol.width() == pivot_oracle.width(sol) == n
+            assert near_values(sol) == (n, near) == sol.scaled
+            assert induced_homotopy(sol).maps == {lab: v % n for lab, v in near.items()}
+            count += 1
+        assert count == 4 + 12 + 7 + sum(T.size for T in seeded_spherical) + 3
+
+    def test_two_argument_solution(self, ex45):
+        sol = solve(ex45, "r0", "c0", "s4")
+        values = dict(sol.values)
+        lab = next(lab for lab, v in values.items() if 0 < v < 1)
+        values[lab] += Fraction(1, 1024)
+        edited = solver.Solution(sol.pointed, values)
+        assert edited.scaled == pivot_oracle.near_values(edited)
+        assert edited.width() == 14 * 512
+        assert sol.scaled == pivot_oracle.near_values(sol)  # the original's view is its own
+
+
 def test_internal_check_survives_optimize_flag():
     # under python -O a bare assert vanishes; the equation check must not
     script = textwrap.dedent("""

@@ -218,15 +218,15 @@ class TestSeparate:
 
         counted("split")
         counted("build_bitrade")
-        locate = trigons.locate_trigon
+        locate = trigons._locate_trigon
 
         def locate_building_nothing(*args):
             built = calls["build_bitrade"]
-            tg = locate(*args)
+            hit = locate(*args)
             assert calls["build_bitrade"] == built
-            return tg
+            return hit
 
-        monkeypatch.setattr(trigons, "locate_trigon", locate_building_nothing)
+        monkeypatch.setattr(trigons, "_locate_trigon", locate_building_nothing)
         depths = []
         for T in [nested.bitrade, *seeded_spherical]:
             for a in T.star:
@@ -240,6 +240,53 @@ class TestSeparate:
                             assert calls["split"] == depth <= T.size - 4
                             depths.append(depth)
         assert max(depths) >= 1  # some of these separations recurse
+
+    def test_one_flood_per_gap_candidate(self, nested, seeded_spherical, monkeypatch):
+        """Locating the trigon floods each gap candidate once; split reuses the
+        hit's flood and floods nothing itself."""
+        calls = {"_flood_inner": 0, "trigon_at": 0}
+        where = []  # the function now running: "locate" or "split"
+
+        def counted(name):
+            wrapped = getattr(trigons, name)
+
+            def counting(*args):
+                calls[name] += 1
+                if name == "_flood_inner":
+                    assert where == ["locate"]
+                return wrapped(*args)
+
+            monkeypatch.setattr(trigons, name, counting)
+
+        def inside(name, key):
+            wrapped = getattr(trigons, name)
+
+            def marked(*args):
+                where.append(key)
+                try:
+                    return wrapped(*args)
+                finally:
+                    where.pop()
+
+            monkeypatch.setattr(trigons, name, marked)
+
+        counted("_flood_inner")
+        counted("trigon_at")
+        inside("_locate_trigon", "locate")
+        inside("split", "split")
+        recursed = 0
+        for T in [nested.bitrade, *seeded_spherical]:
+            for a in T.star:
+                for i in range(3):
+                    for y in T.universe(i):
+                        if y != a[i]:
+                            b = next(p for p in T.star if p[i] == y)
+                            calls.update(_flood_inner=0, trigon_at=0)
+                            _, depth = separate_trace(T, a, b, i)
+                            # trigon_at runs only for gap candidates, and only in locate
+                            assert calls["_flood_inner"] == calls["trigon_at"] >= depth
+                            recursed += depth > 0
+        assert recursed
 
     def test_equal_labels_rejected(self, ex45):
         a = ex45.star[0]
