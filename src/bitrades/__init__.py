@@ -8,17 +8,13 @@ from .core import (
     EmptyInput,
     InternalCheckFailed,
     Label,
-    NotSeparated,
     Triple,
-    apply_isotopy,
     build_bitrade,
     is_indecomposable,
-    is_isotopic,
     is_separated_bitrade,
     metrics,
     mu,
     nu,
-    semidual_faces,
     tau,
     tau_cycle,
 )
@@ -60,7 +56,6 @@ from .trigons import (
     Trigon,
     embed_product,
     find_trigons,
-    inner_circumference,
     locate_trigon,
     recombine,
     separate,

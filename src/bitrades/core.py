@@ -1,4 +1,4 @@
-"""Latin bitrades: validation, permutations, surface metrics, isotopy.
+"""Latin bitrades: validation, permutations, surface metrics.
 
 A bitrade is a pair of disjoint triple sets (star, delta) over row,
 column and symbol labels, satisfying the exchange axioms R1-R3: the two
@@ -33,10 +33,6 @@ class InternalCheckFailed(BitradeError, AssertionError):
     An AssertionError in kind, but raised explicitly, so it survives
     ``python -O``.
     """
-
-
-class NotSeparated(BitradeError):
-    pass
 
 
 class AxiomViolation(BitradeError):
@@ -90,9 +86,11 @@ class Triple(tuple):
 class Bitrade:
     """A validated latin bitrade with pair-lookup indexes.
 
-    Immutable after construction; use :func:`build_bitrade`.  The one
-    derived value kept on it is the verified Smith form of its relation
-    matrix, which ``groups`` computes on first use.
+    Immutable after construction; use :func:`build_bitrade`.  Two derived
+    values are kept on it, each computed on first use: the verified Smith
+    form of its relation matrix (by ``groups``), and each solved pivot's
+    checked answer to Eq(T, a) (by ``solver.solve_pointed``), held as plain
+    values that do not refer back to the bitrade.
     """
 
     def __init__(self, star, delta, universes, star_pair, delta_pair):
@@ -104,6 +102,7 @@ class Bitrade:
         self._star_set = frozenset(star)
         self._delta_set = frozenset(delta)
         self._relation_smith = None  # (labels, SmithForm of B), set by groups
+        self._solutions = {}  # pivot -> values or (rank, nullity, status), set by solver
 
     @property
     def size(self):
@@ -242,10 +241,6 @@ def tau(T, j, a):
     return nu(T, (j + 1) % 3, (j + 2) % 3, a)
 
 
-def tau_inverse(T, j, a):
-    return nu(T, (j + 2) % 3, (j + 1) % 3, a)
-
-
 def tau_cycle(T, j, a):
     """The full cycle of tau_j through a, starting at a."""
     cycle = [a]
@@ -345,109 +340,3 @@ def metrics(T):
     separated = is_separated_bitrade(T)
     genus = (2 - chi) // 2 if separated and chi % 2 == 0 else None
     return Metrics(s, o1, o2, o3, m, chi, separated, T.spherical, genus)
-
-
-@dataclass(frozen=True)
-class SemidualFaces:
-    """Faces of the semidual surface: vertices are star triples."""
-
-    cyclic: dict  # Label -> tuple of star triples (tau cycle order)
-    triangular: dict  # delta Triple -> tuple of 3 star triples
-
-    @property
-    def face_count(self):
-        return len(self.cyclic) + len(self.triangular)
-
-
-def semidual_faces(T):
-    if not is_separated_bitrade(T):
-        raise NotSeparated("semidual faces are only defined for separated bitrades")
-    cyclic = {}
-    for role in (ROW, COL, SYM):
-        for lab in T.universe(role):
-            start = next(p for p in T.star if p[role] == lab)
-            cyclic[lab] = tuple(tau_cycle(T, role, start))
-    triangular = {}
-    for c in T.delta:
-        triangular[c] = tuple(T.star_partner(c, pair) for pair in PAIRS)
-    return SemidualFaces(cyclic, triangular)
-
-
-def is_isotopic(T, S):
-    """Search for role-wise label bijections carrying T onto S.
-
-    Returns a tuple of three dicts (rows, cols, syms mapping) or None.
-    The search propagates forced assignments along R2/R3 partners, with
-    backtracking only across connected components.
-    """
-    if T.size != S.size:
-        return None
-    if any(len(T.universe(r)) != len(S.universe(r)) for r in (ROW, COL, SYM)):
-        return None
-
-    def propagate(p0, q0, mapping, star_map, delta_map):
-        queue = [("star", p0, q0)]
-        while queue:
-            kind, p, q = queue.pop()
-            current = star_map if kind == "star" else delta_map
-            if p in current:
-                if current[p] != q:
-                    return False
-                continue
-            for pl, ql in zip(p, q):
-                if mapping.get(pl, ql) != ql:
-                    return False
-                mapping[pl] = ql
-            current[p] = q
-            for pair in PAIRS:
-                if kind == "star":
-                    queue.append(("delta", T.delta_partner(p, pair), S.delta_partner(q, pair)))
-                else:
-                    queue.append(("star", T.star_partner(p, pair), S.star_partner(q, pair)))
-        return True
-
-    def extend(mapping, star_map, delta_map):
-        remaining = [p for p in T.star if p not in star_map]
-        if not remaining:
-            # full verification: the maps must reproduce S exactly
-            if len(set(mapping.values())) != len(mapping):
-                return None
-            for p in T.star:
-                if not S.in_star(_apply(mapping, p)):
-                    return None
-            for p in T.delta:
-                if not S.in_delta(_apply(mapping, p)):
-                    return None
-            return mapping
-        p0 = remaining[0]
-        used = set(star_map.values())
-        for q0 in S.star:
-            if q0 in used:
-                continue
-            m2, sm2, dm2 = dict(mapping), dict(star_map), dict(delta_map)
-            if propagate(p0, q0, m2, sm2, dm2):
-                result = extend(m2, sm2, dm2)
-                if result is not None:
-                    return result
-        return None
-
-    mapping = extend({}, {}, {})
-    if mapping is None:
-        return None
-    return tuple(
-        {lab: mapping[lab] for lab in T.universe(role)} for role in (ROW, COL, SYM)
-    )
-
-
-def _apply(mapping, t):
-    return Triple(mapping[t.row], mapping[t.col], mapping[t.sym])
-
-
-def apply_isotopy(maps, T):
-    """Apply role-wise bijections to a bitrade, rebuilding it."""
-    merged = {}
-    for d in maps:
-        merged.update(d)
-    star = [_apply(merged, t) for t in T.star]
-    delta = [_apply(merged, t) for t in T.delta]
-    return build_bitrade(star, delta)

@@ -15,6 +15,13 @@ rank(B) - 1 and nullity nullity(B) - 2.  So ``eliminate_pivots``
 eliminates B once for many pivots; ``solve_pointed`` reads each one, and
 ``groups.check_det_invariance`` reads the deleted-column minors off the
 same elimination.
+
+``solve_pointed`` keeps each pivot's checked answer on its bitrade (the
+values, or the rank, nullity and status of a singular system), so a
+(T, a) solved again, as by the separations that share one pivot, is
+not eliminated again.  Only plain values are kept, never a ``Solution``:
+it refers back to the bitrade, and that cycle would leave the bitrade
+for the cyclic garbage collector to free instead of reference counting.
 """
 
 from __future__ import annotations
@@ -24,9 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    COL, ROW, SYM, Bitrade, BitradeError, InternalCheckFailed, Triple, first_collision,
-)
+from .core import Bitrade, BitradeError, InternalCheckFailed, Triple, first_collision
 from .exact import eliminate
 
 
@@ -127,17 +132,28 @@ def solve_pointed(pointed, elimination=None):
 
     Reads ``elimination`` (``eliminate_pivots(T, pivots)``, a in pivots) or eliminates
     for a alone.  Checks every equation of Eq(T, a), the pivot's symbol value 1 and,
-    on a spherical T, the range [0, 1]; a failure raises InternalCheckFailed.
+    on a spherical T, the range [0, 1]; a failure raises InternalCheckFailed.  The
+    checked answer is kept on T, so each (T, a) is eliminated at most once.
     """
     T, a = pointed.bitrade, pointed.pivot
-    E = elimination or eliminate_pivots(T, [a])
-    if E.bitrade is not T or a not in E.column:
+    if elimination is not None and (elimination.bitrade is not T
+                                    or a not in elimination.column):
         raise ValueError(f"pivot {a} of this bitrade was not eliminated")
+    known = T._solutions.get(a)
+    if known is None:
+        known = T._solutions[a] = _solve(T, a, elimination or eliminate_pivots(T, [a]))
+    if type(known) is tuple:
+        raise SingularSystem(*known)
+    return Solution(pointed, dict(known))
+
+
+def _solve(T, a, E):
+    """Eq(T, a)'s checked values read off E, or (rank, nullity, status) if singular."""
     k, d, labels = E.column[a], E.d, E.labels
     m, r = len(labels), len(E.pivot_cols)
     inconsistent = any(row[k] for row in E.rows[r:])
     if inconsistent or m - r > 2:
-        raise SingularSystem(r - 1, m - r - 2, "no_solution" if inconsistent else "non_unique")
+        return r - 1, m - r - 2, "no_solution" if inconsistent else "non_unique"
     x = dict.fromkeys(labels, 0)
     x.update((labels[c], row[k]) for row, c in zip(E.rows, E.pivot_cols))
     shift = (x[a.row], x[a.col], x[a.row] + x[a.col])  # x[a.row] k1 + x[a.col] k2 by role
@@ -151,7 +167,7 @@ def solve_pointed(pointed, elimination=None):
         raise InternalCheckFailed(f"solution does not fix the pivot {a}'s symbol at 1")
     if T.spherical and not all(0 <= v * d <= d * d for v in y.values()):
         raise InternalCheckFailed("spherical solution has a value outside [0, 1]")
-    return Solution(pointed, {lab: Fraction(v, d) for lab, v in y.items()})
+    return {lab: Fraction(v, d) for lab, v in y.items()}
 
 
 def is_separated_solution(sol):
@@ -203,10 +219,3 @@ def near_values(sol):
     is an integer.
     """
     return sol.width(), dict(sol.scaled[1])
-
-
-def normalize_homotopy(hom, T, base):
-    """Shift each role's map so the base triple's labels go to 0."""
-    shift = {ROW: hom.maps[base.row], COL: hom.maps[base.col], SYM: hom.maps[base.sym]}
-    maps = {lab: (val - shift[lab.role]) % hom.modulus for lab, val in hom.maps.items()}
-    return Homotopy.checked(T, hom.modulus, maps)

@@ -142,38 +142,6 @@ def _edge_id(T, x, j):
     return (j, T.delta_partner(x, pair))
 
 
-@dataclass(frozen=True)
-class TrigonCircumference:
-    path: tuple  # P, closed star-triple sequence
-    betas: tuple  # predecessors of the alphas on P
-    arcs: tuple  # the three detour walks Q_j
-    circumference: tuple  # closed inner circumference
-
-
-def inner_circumference(T, tg):
-    """Splice the detour arcs into P, yielding the inner circumference."""
-    vertices, _ = _path_steps(T, tg)
-    betas, arcs = [], []
-    for j in range(3):
-        idx = vertices.index(tg.alphas[j])
-        beta = vertices[idx - 1]
-        succ = vertices[(idx + 1) % len(vertices)]
-        if tau(T, j, succ) != beta:
-            raise SpliceIdentityFailure(
-                f"splice identity fails at corner {tg.alphas[j]}"
-            )
-        q = tau_cycle(T, j, beta)
-        if q[-1] != succ:
-            raise InternalCheckFailed(f"detour arc from {beta} does not close at {succ}")
-        betas.append(beta)
-        arcs.append(tuple(q))
-    circ = list(vertices)
-    for j in range(3):
-        idx = circ.index(tg.alphas[j])
-        circ[idx:idx + 1] = list(arcs[j][1:-1])
-    return TrigonCircumference(tuple(vertices), tuple(betas), tuple(arcs), tuple(circ))
-
-
 def _flood_inner(T, tg):
     """(triangular faces, star triples) inside the trigon boundary.
 

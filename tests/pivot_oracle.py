@@ -7,7 +7,8 @@ Bareiss determinant, and ``check_det_invariance`` takes one of them per
 admissible deleted column pair.  ``rank`` counts the pivots of one
 elimination, the rank of B before it was read off B's Smith form.
 ``width`` and ``near_values`` compute a solution's width and scaled
-values directly from its ``Fraction`` values.
+values directly from its ``Fraction`` values.  ``normalize_homotopy``
+shifts a homotopy so that a base triple's labels map to 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from fractions import Fraction
 
 import rational_oracle
 from bitrades.exact import eliminate
+from bitrades.core import COL, ROW, SYM
 from bitrades.groups import DetInvarianceReport, relation_matrix
+from bitrades.solver import Homotopy
 
 
 def _integer_row(row):
@@ -138,3 +141,10 @@ def near_values(sol):
     """(n, {label: int(n * value)}), n the width."""
     n = width(sol)
     return n, {lab: int(n * v) for lab, v in sol.values.items()}
+
+
+def normalize_homotopy(hom, T, base):
+    """Shift each role's map so the base triple's labels go to 0."""
+    shift = {ROW: hom.maps[base.row], COL: hom.maps[base.col], SYM: hom.maps[base.sym]}
+    maps = {lab: (val - shift[lab.role]) % hom.modulus for lab, val in hom.maps.items()}
+    return Homotopy.checked(T, hom.modulus, maps)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from bitrades.core import COL, ROW, SYM, is_isotopic, metrics
+from bitrades.core import COL, ROW, SYM, metrics
 from bitrades.exact import smith_normal_form
 from bitrades.geometry import dissect, extract_bitrade
 from bitrades.groups import (
@@ -36,6 +36,7 @@ from bitrades.trigons import (
 )
 from conftest import triple_by_names
 from rational_oracle import mat_mul
+from isotopy_oracle import is_isotopic
 from scan_oracle import scan_trigons_bruteforce
 from test_exact import cofactor_det
 

@@ -13,21 +13,18 @@ from bitrades.core import (
     EmptyInput,
     Label,
     Triple,
-    apply_isotopy,
     build_bitrade,
     first_collision,
     is_indecomposable,
-    is_isotopic,
     is_separated_bitrade,
     metrics,
     mu,
     nu,
-    semidual_faces,
     tau,
     tau_cycle,
-    tau_inverse,
 )
 from conftest import triple_by_names
+from isotopy_oracle import apply_isotopy, is_isotopic, semidual_faces, tau_inverse
 from test_groups import cayley_bitrade
 
 

@@ -22,7 +22,6 @@ from bitrades.geometry import (
     triangles,
     verify_dissection,
 )
-from bitrades.core import is_isotopic
 from bitrades.solver import PointedBitrade, eliminate_pivots, solve_pointed
 from conftest import GRID16_LINES, spherical_dissection, triple_by_names
 from geometry_oracle import (
@@ -32,6 +31,7 @@ from geometry_oracle import (
     interval_overlap,
     polygon_area,
 )
+from isotopy_oracle import is_isotopic
 
 H = Fraction(1, 2)
 

@@ -1,7 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 
 import bitrades
 import pivot_oracle
-from bitrades import exact, solver
-from bitrades.core import COL, ROW, SYM, InternalCheckFailed
+from bitrades import corpus, exact, solver
+from bitrades.core import COL, ROW, SYM, InternalCheckFailed, build_bitrade
 from bitrades.solver import (
     Homotopy,
     PointedBitrade,
@@ -20,12 +22,13 @@ from bitrades.solver import (
     induced_homotopy,
     is_separated_solution,
     near_values,
-    normalize_homotopy,
+    relation_matrix,
     solve_pointed,
 )
 from conftest import triple_by_names
-from pivot_oracle import build_system
-from test_groups import renamed_cayley
+from pivot_oracle import build_system, normalize_homotopy
+from bitrades.trigons import separate_trace
+from test_groups import cayley_bitrade, renamed_cayley
 
 EX45_VALUES = {
     "r0": Fraction(0), "r1": Fraction(2, 7), "r2": Fraction(5, 14), "r3": Fraction(4, 7),
@@ -161,9 +164,11 @@ class TestSharedElimination:
         with pytest.raises(ValueError, match="was not eliminated"):
             solve_pointed(PointedBitrade(ex45, shared), eliminated)
 
-    def test_pivot_values_are_checked(self, ex45, monkeypatch):
+    def test_pivot_values_are_checked(self, monkeypatch):
         # zeroed right-hand sides give x = 0, which keeps every equation
-        # of Eq(T, a) but leaves the pivot's symbol at 0
+        # of Eq(T, a) but leaves the pivot's symbol at 0; a fresh bitrade,
+        # as a solve of the session's ex45 may already be kept on it
+        ex45 = corpus.example_4x5()
         def zeroed(M, width):
             pivots, d = exact.eliminate(M, width)
             for row in M:
@@ -173,6 +178,151 @@ class TestSharedElimination:
         monkeypatch.setattr(solver, "eliminate", zeroed)
         with pytest.raises(InternalCheckFailed, match="does not fix the pivot"):
             solve_pointed(PointedBitrade(ex45, ex45.star[0]))
+
+
+def answer(T, pivot, elimination=None):
+    """outcome() of one solve_pointed call; a SingularSystem is caught here."""
+    try:
+        return outcome(T, solve_pointed(PointedBitrade(T, pivot), elimination))
+    except SingularSystem as e:
+        return outcome(T, e)
+
+
+def fresh(T):
+    """A new Bitrade object equal to T, with nothing solved on it yet."""
+    return build_bitrade(T.star, T.delta)
+
+
+def other_triples(T, a):
+    """For each role i, a star triple whose label at i differs from a's."""
+    return [next(p for p in T.star if p[i] != a[i]) for i in range(3)]
+
+
+def count_pivot_eliminations(monkeypatch, T, counts):
+    """Count, per pivot a of T, the eliminations of T's [B | -e_a] through solver."""
+    B, _ = relation_matrix(T)
+    systems = {a: [row + [-(p == a)] for row, p in zip(B, T.star)] for a in T.star}
+    eliminate = exact.eliminate
+
+    def counting(M, width):
+        for a, system in systems.items():
+            if M == system:
+                counts[a] = counts.get(a, 0) + 1
+        return eliminate(M, width)
+
+    monkeypatch.setattr(solver, "eliminate", counting)
+
+
+class TestSolutionMemo:
+    """solve_pointed keeps each pivot's checked answer on its bitrade."""
+
+    @pytest.fixture
+    def instances(self, spherical_corpus, seeded_spherical, toroidal, toroidal_swapped):
+        cayley = [cayley_bitrade(n, k, [[f"{x}{i}" for i in range(n)] for x in "rcs"],
+                                 [range(n)] * 3)
+                  for n in range(2, 6) for k in range(1, n)]
+        return [*spherical_corpus.values(), *seeded_spherical, toroidal, toroidal_swapped,
+                *cayley]
+
+    def test_memoised_answers_match_oracle_and_fresh_bitrade(self, instances):
+        singular = 0
+        for T in instances:
+            for pivot in T.star:
+                first = answer(T, pivot)
+                assert first == answer(T, pivot) == pivot_oracle.solve_pointed(T, pivot)
+                assert first == answer(fresh(T), pivot)
+                singular += first[0] != "unique"
+        assert singular  # the toroidal and some Cayley systems are singular
+
+    def test_shared_elimination_reads_and_fills_the_memo(self, instances):
+        for T in instances:
+            S = fresh(T)
+            elimination = eliminate_pivots(S, S.star)
+            assert [answer(S, p, elimination) for p in S.star] == [answer(T, p) for p in T.star]
+            assert [answer(S, p) for p in S.star] == [answer(T, p) for p in T.star]
+
+    def test_three_separations_eliminate_their_pivot_once(self, nested, seeded_spherical,
+                                                          monkeypatch):
+        for source in [nested.bitrade, *seeded_spherical]:
+            T = fresh(source)
+            counts = {}
+            count_pivot_eliminations(monkeypatch, T, counts)
+            for a in T.star:
+                solve_pointed(PointedBitrade(T, a))
+                for i, b in enumerate(other_triples(T, a)):
+                    separate_trace(T, a, b, i)
+            assert counts == dict.fromkeys(T.star, 1)
+
+    def test_singular_system_raised_afresh(self, toroidal):
+        T = fresh(toroidal)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(SingularSystem) as e:
+                solve_pointed(PointedBitrade(T, T.star[0]))
+            raised.append(e.value)
+        first, second = raised
+        assert first is not second
+        assert (first.rank, first.nullity, first.status) == (
+            second.rank, second.nullity, second.status)
+        assert str(first) == str(second)
+
+    def test_failed_check_is_not_memoised(self, ex45, monkeypatch):
+        def wrong(M, width):
+            calls.append(width)
+            pivots, d = exact.eliminate(M, width)
+            M[0][-1] += d  # one solution value off by 1
+            return pivots, d
+
+        T = fresh(ex45)
+        for pivot in T.star:
+            calls = []
+            monkeypatch.setattr(solver, "eliminate", wrong)
+            for _ in range(2):
+                with pytest.raises(InternalCheckFailed):
+                    solve_pointed(PointedBitrade(T, pivot))
+            assert len(calls) == 2  # the failure was not kept: each call eliminated
+            monkeypatch.undo()
+            assert answer(T, pivot) == pivot_oracle.solve_pointed(T, pivot)
+
+    def test_returned_values_are_copies(self, ex45, toroidal_swapped):
+        for source in (ex45, toroidal_swapped):
+            T = fresh(source)
+            elimination = eliminate_pivots(T, T.star)
+            for pivot in T.star:
+                expected = pivot_oracle.solve_pointed(T, pivot)[3]
+                if expected is None:
+                    continue
+                for elim in (elimination, None, elimination):
+                    sol = solve_pointed(PointedBitrade(T, pivot), elim)
+                    assert sol.values == expected
+                    sol.values[pivot.sym] += 1
+                    sol.values.pop(pivot.row)
+
+    def test_solved_bitrade_freed_without_the_cycle_collector(
+            self, spherical_corpus, seeded_spherical, toroidal, toroidal_swapped):
+        def solve_everything(T):
+            for a in T.star:
+                if answer(T, a)[0] == "unique" and T.spherical:
+                    for i, b in enumerate(other_triples(T, a)):
+                        separate_trace(T, a, b, i)
+            elimination = eliminate_pivots(T, T.star)
+            for a in T.star:
+                answer(T, a, elimination)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for source in [*spherical_corpus.values(), seeded_spherical[-1], toroidal,
+                           toroidal_swapped]:
+                T = fresh(source)
+                solve_everything(T)
+                assert len(T._solutions) == T.size
+                freed = weakref.ref(T)
+                del T
+                assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSeparatedSolution:

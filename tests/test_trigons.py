@@ -8,7 +8,7 @@ import pytest
 
 import bitrades
 from bitrades import trigons
-from bitrades.core import COL, ROW, SYM, Triple, is_isotopic, metrics, tau
+from bitrades.core import COL, ROW, SYM, Triple, metrics, tau
 from bitrades.groups import canonical_images
 from bitrades.solver import PointedBitrade, induced_homotopy, solve_pointed
 from bitrades.trigons import (
@@ -17,7 +17,6 @@ from bitrades.trigons import (
     NotInShrinkSituation,
     embed_product,
     find_trigons,
-    inner_circumference,
     locate_trigon,
     recombine,
     separate,
@@ -25,6 +24,8 @@ from bitrades.trigons import (
     split,
     trigon_at,
 )
+from circumference_oracle import inner_circumference
+from isotopy_oracle import is_isotopic
 from scan_oracle import scan_trigons_bruteforce
 
 
@@ -106,6 +107,17 @@ class TestCircumference:
     def test_alphas_not_on_circumference(self, nested, nested_trigon):
         circ = inner_circumference(nested.bitrade, nested_trigon)
         assert not set(nested_trigon.alphas) & set(circ.circumference)
+
+    def test_circumference_inside_the_flood(self, nested, seeded_spherical):
+        """split's inner points, from the flood fill, hold every star triple of
+        the spliced inner circumference."""
+        count = 0
+        for T in [nested.bitrade, *seeded_spherical]:
+            for tg in find_trigons(T):
+                circ = inner_circumference(T, tg)
+                assert set(circ.circumference) <= trigons._flood_inner(T, tg)[1]
+                count += 1
+        assert count == 29  # 1 trigon on nested, 28 on the seeded dissections
 
 
 class TestSplit:
