@@ -311,7 +311,9 @@ def build_parser():
     p = sub.add_parser("report", help="CSV summary over a directory of inputs")
     p.add_argument("dir")
     p.add_argument("-o", "--output")
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker threads (default 1; the work holds the GIL, so more give "
+                        "no speed-up)")
     p.set_defaults(func=cmd_report)
 
     return parser

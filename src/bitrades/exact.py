@@ -1,35 +1,38 @@
-"""Exact dense linear algebra over the integers, with integer arithmetic only.
+"""Exact linear algebra over the integers, with integer arithmetic only.
 
-Everything here works on plain lists of lists of ints.  One routine,
-``eliminate``, does all elimination: fraction-free Gauss-Jordan, whose
-divisions by the previous pivot are exact; the pointed solver and the
-deleted-column minors read its reduced rows.  ``smith_normal_form``
-carries V's inverse alongside V and certifies, on every call, that M
-and its diagonal D have isomorphic cokernels through x -> x V:
-V V_inv = I, U (M V) = D, every column of M V is a multiple of its
-d_k, and the divisibility chain holds.  ``groups`` computes the Smith
-form of a bitrade's relation matrix once and reads G(T), H(T), the
-canonical images and the rank of B from it.
+Matrices come in and go out as plain lists of lists of ints.  One
+routine, ``eliminate``, does all elimination: fraction-free
+Gauss-Jordan, whose divisions by the previous pivot are exact; the
+pointed solver and the deleted-column minors read its reduced rows.
+
+``smith_normal_form`` works in two phases.  ``_unit_reduce`` eliminates
+the unit pivots sparsely, on rows held as dicts of their nonzeros, the
++-1 entry of least Markowitz cost (r - 1)(c - 1) first; every row of a
+bitrade's relation matrix is e_row + e_col - e_sym, so nearly every
+pivot is a unit, and this is the Tietze reduction of the presentation
+of G(T).  ``_dense_smith``, the dense loop, then runs only on the block
+of rows and columns left over, which holds no unit.  The units come
+first on the diagonal, and the two phases' transforms are composed into
+one U, V and V_inv.  The certificate is unchanged in what it proves: on
+every call, that M and its diagonal D have isomorphic cokernels through
+x -> x V, by V V_inv = I, U (M V) = D, every column of M V a multiple
+of its d_k, and the divisibility chain.  It forms its products over
+the nonzeros of each row.  ``groups`` computes the Smith form of a
+bitrade's relation matrix once and reads G(T), H(T), the canonical
+images and the rank of B from it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 from .core import InternalCheckFailed
 
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _row_times(v, B):
-    """The row vector v @ B, skipping zero entries of v."""
-    out = [0] * (len(B[0]) if B else 0)
-    for a, Bt in zip(v, B):
-        if a:
-            out = [x + a * y for x, y in zip(out, Bt)]
-    return out
 
 
 def eliminate(M, width):
@@ -97,14 +100,183 @@ class SmithForm:
 def smith_normal_form(M):
     """Smith normal form of an integer matrix, with its transforms and V's inverse.
 
-    Every elementary column operation applied to V is undone on the rows
-    of V_inv, so the inverse costs no elimination.  The pivot is the
-    first entry of least absolute value; a unit pivot ends the scan and
-    needs no divisibility pass.  Every returned form has passed
-    ``_verify_smith``; the SmithForm docstring says what that proves.
+    Two phases.  ``_unit_reduce`` first eliminates the unit pivots
+    sparsely, least Markowitz cost first; each becomes a 1 on the
+    diagonal.  ``_dense_smith`` then reduces the block of rows and
+    columns left over, which holds no unit.  Both phases' transforms
+    are composed into one U, V and V_inv, the units first on the
+    diagonal, so the divisibility chain holds.  Every returned form has
+    passed ``_certify``, the check of ``_verify_smith`` on the sparse
+    rows that the dense matrices returned are written out from; the
+    SmithForm docstring says what that proves.
     """
     n = len(M)
     m = len(M[0]) if n else 0
+    M = _sparse(M)
+    pivots, rows, cols, block = _unit_reduce(M, m)
+    if not pivots:  # no unit entry: the block is all of M, and nothing is composed
+        diagonal, U, V, V_inv = _dense_smith(block, m)
+        _certify(M, diagonal, _sparse(U), _sparse(V), _sparse(V_inv))
+        return SmithForm(diagonal, U, V, V_inv)
+    U = [{i: 1} for i in range(n)]
+    V_cols = [{j: 1} for j in range(m)]  # V by columns, which the column operations add
+    V_inv = [{j: 1} for j in range(m)]
+    for i, j, _, row_ops, col_ops in pivots:
+        for k, q in row_ops:
+            _add_to(U[k], U[i], q)
+        for l, q in col_ops:
+            _add_to(V_cols[l], V_cols[j], q)
+            _add_to(V_inv[j], V_inv[l], -q)
+    block_diagonal, bU, bV, bV_inv = _dense_smith(block, len(cols))
+    # U' P U, V Q V' and V'^-1 Q^T V^-1, with P and Q putting the pivots first
+    U_kept = [U[i] for i in rows]
+    U = [{k: s * x for k, x in U[i].items()} for i, _, s, _, _ in pivots]
+    U += [_row_times(coeffs, U_kept) for coeffs in _sparse(bU)]
+    V_kept = [V_cols[j] for j in cols]
+    V_cols = [V_cols[j] for _, j, _, _, _ in pivots]
+    V_cols += [_row_times(coeffs, V_kept) for coeffs in _sparse(zip(*bV))]
+    V_inv_kept = [V_inv[j] for j in cols]
+    V_inv = [V_inv[j] for _, j, _, _, _ in pivots]
+    V_inv += [_row_times(coeffs, V_inv_kept) for coeffs in _sparse(bV_inv)]
+    V = [{} for _ in range(m)]
+    for k, col in enumerate(V_cols):
+        for i, x in col.items():
+            V[i][k] = x
+    diagonal = [1] * len(pivots) + block_diagonal
+    _certify(M, diagonal, U, V, V_inv)
+    return SmithForm(diagonal, _dense(U, n), _dense(V, m), _dense(V_inv, m))
+
+
+def _add_to(dst, src, q):
+    """dst += q src, in place, for sparse rows {index: nonzero value}."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _row_times(v, B):
+    """The sparse row v @ B, for v and the rows of B as {index: nonzero value}."""
+    out = {}
+    get = out.get
+    for k, a in v.items():
+        for j, x in B[k].items():  # _add_to(out, B[k], a), inlined: the hottest loop
+            y = get(j, 0) + a * x
+            if y:
+                out[j] = y
+            else:
+                del out[j]
+    return out
+
+
+def _sparse(A):
+    return [dict(compress(enumerate(row), row)) for row in A]
+
+
+def _dense(rows, width):
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for k, x in row.items():
+            dense[k] = x
+        out.append(dense)
+    return out
+
+
+def _unit_reduce(M, m):
+    """Phase 1 of ``smith_normal_form``: eliminate unit pivots, sparsely.
+
+    M is given by its rows as {column: nonzero value}, m columns wide,
+    and is not modified.  Each step takes the +-1 entry (i, j) of least
+    Markowitz cost (r - 1)(c - 1), r and c the nonzeros of its row and
+    column among the rows and columns not yet pivoted.  It clears column
+    j by adding multiples of row i to the other rows, then row i by
+    adding multiples of column j to the other columns; those column
+    operations change no entry but (i, l), as column j is 0 elsewhere.
+    Returns (pivots, rows, cols, block):
+
+    - pivots, in order, as (i, j, s, row_ops, col_ops): s = M'[i][j]
+      is the unit, row_ops the pairs (k, q) for "row k += q row i" and
+      col_ops the pairs (l, q) for "column l += q column j";
+    - rows and cols, the indices never pivoted, in increasing order;
+    - block, the dense entries of those rows on those columns, which
+      hold no unit.
+
+    After the operations, row i of a pivot is s e_j, and the rows left
+    are 0 on every pivot column.
+    """
+    A = [dict(row) for row in M]
+    holders = [set() for _ in range(m)]  # column -> the unpivoted rows nonzero there
+    for i, row in enumerate(A):
+        for j in row:
+            holders[j].add(i)
+    lengths = Counter(map(len, A))  # of the unpivoted rows
+    pivots = []
+    live_cols = list(range(m))
+    while True:
+        # columns by count; a column of count c costs at least (c - 1) * shortest
+        counts = list(map(len, holders))
+        shortest = min((r for r, k in lengths.items() if k and r), default=1) - 1
+        best = None
+        for j in sorted(live_cols, key=counts.__getitem__):
+            c = counts[j] - 1
+            if best is not None and c * shortest >= best[0]:
+                break
+            for i in holders[j]:
+                x = A[i][j]
+                if x == 1 or x == -1:
+                    cost = (len(A[i]) - 1) * c
+                    if best is None or cost < best[0]:
+                        best = cost, i, j
+        if best is None:
+            break
+        _, i, j = best
+        pivot_row = A[i]
+        s = pivot_row[j]
+        rest = [(l, x) for l, x in pivot_row.items() if l != j]
+        row_ops = []
+        for k in sorted(holders[j]):
+            if k == i:
+                continue
+            row = A[k]
+            lengths[len(row)] -= 1
+            q = -s * row.pop(j)  # row k += q row i: entry (k, j) becomes 0
+            row_ops.append((k, q))
+            for l, x in rest:
+                old = row.get(l)
+                if old is None:
+                    row[l] = q * x
+                    holders[l].add(k)
+                elif y := old + q * x:
+                    row[l] = y
+                else:
+                    del row[l]
+                    holders[l].discard(k)
+            lengths[len(row)] += 1
+        holders[j].clear()
+        for l, _ in rest:
+            holders[l].discard(i)
+        col_ops = [(l, -s * x) for l, x in rest]
+        lengths[len(pivot_row)] -= 1
+        live_cols.remove(j)
+        pivots.append((i, j, s, row_ops, col_ops))
+    pivoted = {i for i, _, _, _, _ in pivots}
+    rows = [i for i in range(len(A)) if i not in pivoted]
+    block = [[A[i].get(j, 0) for j in live_cols] for i in rows]
+    return pivots, rows, live_cols, block
+
+
+def _dense_smith(M, m):
+    """(diagonal, U, V, V_inv) of U M V = D for a dense n x m block, unverified.
+
+    Every elementary column operation applied to V is undone on the rows
+    of V_inv, so the inverse costs no elimination.  The pivot is the
+    first entry of least absolute value; a unit pivot ends the scan and
+    needs no divisibility pass.
+    """
+    n = len(M)
     A = [[int(x) for x in row] for row in M]
     U = identity(n)
     V, V_inv = identity(m), identity(m)
@@ -190,8 +362,7 @@ def smith_normal_form(M):
         t += 1
 
     diagonal = [A[k][k] for k in range(min(n, m))]
-    _verify_smith(M, diagonal, U, V, V_inv)
-    return SmithForm(diagonal, U, V, V_inv)
+    return diagonal, U, V, V_inv
 
 
 def _verify_smith(M, diagonal, U, V, V_inv):
@@ -200,23 +371,30 @@ def _verify_smith(M, diagonal, U, V, V_inv):
     V V_inv = I proves V unimodular.  U (M V) = D, row by row, puts each
     row of D in rowlattice(M V); every column k of M V divisible by d_k
     (0 where d_k = 0 or past the diagonal) puts each row of M V in
-    rowlattice(D).  Every product is formed one sparse row at a time,
-    so no identity matrix is built.
+    rowlattice(D).  The matrices are dense; ``_certify`` checks their
+    nonzeros.
+    """
+    _certify(_sparse(M), diagonal, _sparse(U), _sparse(V), _sparse(V_inv))
+
+
+def _certify(M, diagonal, U, V, V_inv):
+    """``_verify_smith`` on rows given as {index: nonzero value}.
+
+    Every product is formed over the nonzeros of each row, so zeros cost
+    nothing.  Once V V_inv = I holds, U (M V) = D is equivalent to
+    U M = D V_inv, which is checked instead: the rows of M are sparser
+    than those of M V, and D V_inv needs no product.
     """
     for i, Vi in enumerate(V):
-        row = _row_times(Vi, V_inv)
-        if row[i] != 1 or any(row[:i]) or any(row[i + 1:]):
+        if _row_times(Vi, V_inv) != {i: 1}:
             raise InternalCheckFailed("smith normal form transform V is not unimodular")
     diag = diagonal + [0] * (len(V) - len(diagonal))
-    MV = [_row_times(Mi, V) for Mi in M]
     for i, Ui in enumerate(U):
-        want = [0] * len(diag)
-        if i < len(diagonal):
-            want[i] = diagonal[i]
-        if _row_times(Ui, MV) != want:
+        d = diag[i] if i < len(diagonal) else 0
+        if _row_times(Ui, M) != ({k: d * x for k, x in V_inv[i].items()} if d else {}):
             raise InternalCheckFailed("smith normal form verification failed: U M V != D")
-    for row in MV:
-        if any(x % d if d else x for x, d in zip(row, diag)):
+    for Mi in M:
+        if any(x % diag[k] if diag[k] else x for k, x in _row_times(Mi, V).items()):
             raise InternalCheckFailed(
                 "smith normal form verification failed: M V is not in the row lattice of D")
     for a, b in zip(diagonal, diagonal[1:]):

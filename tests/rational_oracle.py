@@ -14,8 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from bitrades.core import COL, ROW
-from bitrades.exact import _row_times, smith_normal_form
+from bitrades.exact import smith_normal_form
 from bitrades.groups import AbelianGroupStructure, relation_matrix
+
+
+def _row_times(v, B):
+    """The row vector v @ B, skipping zero entries of v."""
+    out = [0] * (len(B[0]) if B else 0)
+    for a, Bt in zip(v, B):
+        if a:
+            out = [x + a * y for x, y in zip(out, Bt)]
+    return out
 
 
 def mat_mul(A, B):

@@ -261,6 +261,10 @@ class TestReport:
             else:
                 assert (row["status"], row["width"]) == ("ok", str(sol.width()))
 
+    def test_one_job_by_default(self):
+        # the per-file work holds the GIL, so more threads only add overhead
+        assert cli.build_parser().parse_args(["report", "d"]).jobs == 1
+
     def test_deterministic(self, corpus_dir, capsys):
         code1, out1, _ = run(capsys, "report", str(corpus_dir), "--jobs", "1")
         code2, out2, _ = run(capsys, "report", str(corpus_dir), "--jobs", "8")

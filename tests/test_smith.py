@@ -1,0 +1,145 @@
+"""The two-phase Smith form (sparse unit pivots, then a dense block) against the dense oracle.
+
+The Smith form's diagonal is unique, so it must equal the dense-only
+oracle's on every input; every form must pass the certificate; and the
+sparse phase must not grow the transforms' entries past the oracle's.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import smith_oracle
+from bitrades import corpus, groups
+from bitrades.exact import _sparse, _unit_reduce, _verify_smith, smith_normal_form
+from bitrades.solver import relation_matrix
+from test_groups import cayley_bitrade
+
+
+def max_bits(snf):
+    """Largest bit length of any entry of U or V: the transforms' coefficient growth."""
+    return max((abs(x).bit_length() for A in (snf.U, snf.V) for row in A for x in row),
+               default=0)
+
+
+def assert_matches_oracle(M):
+    got = smith_normal_form(M)
+    want = smith_oracle.smith_normal_form(M)
+    assert got.diagonal == want.diagonal
+    _verify_smith(M, got.diagonal, got.U, got.V, got.V_inv)
+    return got, want
+
+
+def seeded_cayley(n, seed):
+    """The Z_n Cayley-table bitrade, shift and label order drawn from the seed."""
+    rng = random.Random(seed)
+    names = [[f"{'rcs'[role]}{i}" for i in range(n)] for role in range(3)]
+    order = [rng.sample(range(n), n) for _ in range(3)]
+    return cayley_bitrade(n, rng.randrange(1, n), names, order)
+
+
+@pytest.fixture(scope="module")
+def bitrades_under_test(products, seeded_spherical, two_intercalates, pinched_intercalates):
+    named = {
+        "intercalate": corpus.intercalate(),
+        "ex45": corpus.example_4x5(),
+        "toroidal": corpus.toroidal(),
+        "toroidal_swapped": corpus.toroidal_swapped(),
+        "nested": corpus.nested_intercalate().bitrade,
+        "two_intercalates": two_intercalates,
+        "pinched_intercalates": pinched_intercalates,
+    }
+    named.update((name, T) for name, (T, _, _) in products.items())
+    named.update((f"seeded{i}", T) for i, T in enumerate(seeded_spherical))
+    named.update((f"Z{n}_seed{seed}", seeded_cayley(n, seed))
+                 for n in range(3, 9) for seed in range(2))
+    return named
+
+
+def smith_inputs(T, monkeypatch):
+    """B, then the matrices of H's two Smith forms: its generators' and its relations' C."""
+    B, _ = relation_matrix(T)
+    groups._relation_smith(T)
+    seen = []
+
+    def recorded(M):
+        seen.append([row[:] for row in M])
+        return smith_normal_form(M)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groups, "smith_normal_form", recorded)
+        groups.subgroup_H(T)
+    gens, C = seen
+    return {"B": B, "gens": gens, "C": C}
+
+
+def test_relation_and_subgroup_matrices_match_oracle(bitrades_under_test, monkeypatch):
+    # growth is compared as the benchmark's snf_max_bits is taken: the largest
+    # entry over all the forms of one kind, not form by form
+    bits = {kind: [0, 0] for kind in ("B", "gens", "C")}
+    for T in bitrades_under_test.values():
+        for kind, M in smith_inputs(T, monkeypatch).items():
+            got, want = assert_matches_oracle(M)
+            bits[kind] = [max(bits[kind][0], max_bits(got)), max(bits[kind][1], max_bits(want))]
+    for kind, (got, want) in bits.items():
+        assert got <= want, (kind, got, want)
+
+
+def test_phase_one_leaves_no_unit_in_the_block(bitrades_under_test):
+    # each unit pivot puts a 1 on the diagonal, so there are at most rank B of them
+    for name, T in bitrades_under_test.items():
+        B, labels = relation_matrix(T)
+        pivots, rows, cols, block = _unit_reduce(_sparse(B), len(labels))
+        rank = groups.integer_homotopy_rank(T)[0]
+        assert len(pivots) + len(rows) == len(B) and len(pivots) + len(cols) == len(labels)
+        assert len(cols) >= len(labels) - rank, name
+        assert not any(abs(x) == 1 for row in block for x in row), name
+
+
+def unit_heavy_matrices():
+    entry = st.sampled_from([-1, -1, 0, 0, 0, 1, 1, 1, 2, -2, 3])
+    return st.integers(1, 6).flatmap(lambda n: st.integers(1, 6).flatmap(
+        lambda m: st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)))
+
+
+@given(unit_heavy_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+@example([[1]], None)
+@example([[-1]], None)
+@example([[1, 1], [1, 1]], None)
+@example([[1, -1, 1], [-1, 1, 1], [1, 1, -1]], None)
+@example([[0, 0], [0, 0], [0, 0]], None)
+@example([[2, 4], [6, 8]], None)
+def test_unit_heavy_matrices_match_oracle(M, data):
+    # zero rows, zero columns and repeated rows, where the draw asks for them
+    if data is not None:
+        n, m = len(M), len(M[0])
+        M = [row[:] for row in M]
+        shape = data.draw(st.sampled_from(["as drawn", "zero row", "zero column", "repeat"]))
+        if shape == "zero row":
+            M[data.draw(st.integers(0, n - 1))] = [0] * m
+        elif shape == "zero column":
+            j = data.draw(st.integers(0, m - 1))
+            for row in M:
+                row[j] = 0
+        elif shape == "repeat":
+            M.append(M[data.draw(st.integers(0, n - 1))][:])
+    assert_matches_oracle(M)
+
+
+def test_matrix_without_units_goes_to_the_dense_block():
+    M = [[2, 4, 0], [6, -8, 2], [0, 2, 4]]
+    pivots, rows, cols, block = _unit_reduce(_sparse(M), len(M[0]))
+    assert (pivots, rows, cols, block) == ([], [0, 1, 2], [0, 1, 2], M)
+    assert_matches_oracle(M)
+
+
+def test_units_come_first_on_the_diagonal():
+    # one unit pivot, then the block [[2, 0], [0, 3]] whose form is diag(1, 6)
+    M = [[1, 1, 1], [0, 2, 0], [0, 0, 3]]
+    snf = smith_normal_form(M)
+    assert snf.diagonal == [1, 1, 6]
+    pivots, rows, cols, block = _unit_reduce(_sparse(M), len(M[0]))
+    assert len(pivots) == 1 and block == [[2, 0], [0, 3]]
