@@ -35,19 +35,17 @@ from .groups import (
     integer_homotopy_rank,
     is_abelian_embeddable,
     presentation,
-    relation_matrix,
     subgroup_H,
 )
 from .jsonio import ParseError, dump, dumps, load, loads
 from .solver import (
     Homotopy,
-    PivotElimination,
     PointedBitrade,
     SingularSystem,
     Solution,
-    eliminate_pivots,
     induced_homotopy,
     is_separated_solution,
+    relation_matrix,
     solve_pointed,
 )
 from .trigons import (

@@ -215,8 +215,7 @@ def _report_rows(path, T):
     met = core.metrics(T)
     trigon_count = len(trigons.find_trigons(T)) if met.separated else ""
     H = groups.subgroup_H(T)
-    eliminated = solver.eliminate_pivots(T, T.star)  # serves the minors and every pivot
-    det = groups.check_det_invariance(T, eliminated) if T.spherical else None
+    det = groups.check_det_invariance(T) if T.spherical else None
     base = {
         "path": path.name,
         "size": met.size,
@@ -230,7 +229,7 @@ def _report_rows(path, T):
     for pivot in T.star:
         row = dict(base, pivot="{},{},{}".format(*pivot.names()))
         try:
-            sol = solver.solve_pointed(solver.PointedBitrade(T, pivot), eliminated)
+            sol = solver.solve_pointed(solver.PointedBitrade(T, pivot))
         except solver.SingularSystem:
             row.update(status="singular", separated_solution="", width="")
         else:

@@ -87,10 +87,11 @@ class Bitrade:
     """A validated latin bitrade with pair-lookup indexes.
 
     Immutable after construction; use :func:`build_bitrade`.  Two derived
-    values are kept on it, each computed on first use: the verified Smith
-    form of its relation matrix (by ``groups``), and each solved pivot's
-    checked answer to Eq(T, a) (by ``solver.solve_pointed``), held as plain
-    values that do not refer back to the bitrade.
+    values are kept on it, each computed on first use, both by ``solver``:
+    the certified Smith form of its relation matrix, the one factorisation
+    of B that every pointed solve, G(T), H(T) and every deleted-column
+    minor read; and each solved pivot's checked answer to Eq(T, a), held
+    as plain values that do not refer back to the bitrade.
     """
 
     def __init__(self, star, delta, universes, star_pair, delta_pair):
@@ -101,7 +102,7 @@ class Bitrade:
         self._delta_pair = delta_pair
         self._star_set = frozenset(star)
         self._delta_set = frozenset(delta)
-        self._relation_smith = None  # (labels, SmithForm of B), set by groups
+        self._relation_smith = None  # (labels, SmithForm of B), set by solver
         self._solutions = {}  # pivot -> values or (rank, nullity, status), set by solver
 
     @property

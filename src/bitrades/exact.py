@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers, with integer arithmetic only.
 
 Matrices come in and go out as plain lists of lists of ints.  One
-routine, ``eliminate``, does all elimination: fraction-free
-Gauss-Jordan, whose divisions by the previous pivot are exact; the
-pointed solver and the deleted-column minors read its reduced rows.
+routine, ``smith_normal_form``, does all elimination: it factors a
+bitrade's relation matrix B once, and every pointed solve, G(T), H(T)
+and every deleted-column minor is read off that one certified form.
 
 ``smith_normal_form`` works in two phases.  ``_unit_reduce`` eliminates
 the unit pivots sparsely, on rows held as dicts of their nonzeros, the
@@ -17,9 +17,10 @@ one U, V and V_inv.  The certificate is unchanged in what it proves: on
 every call, that M and its diagonal D have isomorphic cokernels through
 x -> x V, by V V_inv = I, U (M V) = D, every column of M V a multiple
 of its d_k, and the divisibility chain.  It forms its products over
-the nonzeros of each row.  ``groups`` computes the Smith form of a
-bitrade's relation matrix once and reads G(T), H(T), the canonical
-images and the rank of B from it.
+the nonzeros of each row.  ``solver`` computes the Smith form of a
+bitrade's relation matrix once and keeps it on the bitrade; the pointed
+solves, G(T), H(T), the canonical images, the rank of B and the
+deleted-column minors are read from it.
 """
 
 from __future__ import annotations
@@ -33,41 +34,6 @@ from .core import InternalCheckFailed
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def eliminate(M, width):
-    """Bareiss (fraction-free) Gauss-Jordan elimination of integer rows, in place.
-
-    Pivots are sought in the first ``width`` columns; later columns
-    (right-hand sides) are carried along.  Every step updates whole
-    rows, so every entry stays a minor of M and each division by the
-    previous pivot is exact.  Returns (P, d), the pivot columns and the
-    last pivot (1 if none).  Row k < len(P) is then d (M_P)^-1 M, with
-    M_P the pivot rows' block on the columns P and |d| = |det M_P|; the
-    other rows are 0 in the first ``width`` columns.
-    """
-    n = len(M)
-    pivots = []
-    prev = 1
-    for c in range(width):
-        r = len(pivots)
-        pr = next((i for i in range(r, n) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        top = M[r]
-        pv = top[c]
-        for i in range(n):
-            if i == r:
-                continue
-            f = M[i][c]
-            if f:
-                M[i] = [(pv * x - f * y) // prev for x, y in zip(M[i], top)]
-            elif pv != prev:
-                M[i] = [pv * x // prev for x in M[i]]
-        prev = pv
-        pivots.append(c)
-    return pivots, prev
 
 
 @dataclass
@@ -186,7 +152,7 @@ def _dense(rows, width):
 
 
 def _unit_reduce(M, m):
-    """Phase 1 of ``smith_normal_form``: eliminate unit pivots, sparsely.
+    """Phase 1 of ``smith_normal_form``: clear the unit pivots, sparsely.
 
     M is given by its rows as {column: nonzero value}, m columns wide,
     and is not modified.  Each step takes the +-1 entry (i, j) of least

@@ -6,25 +6,25 @@ labels modulo the row lattice of B; H(T) is the subgroup generated by
 within-role differences of label classes.  Both are reported by free
 rank and invariant factors via Smith normal form.
 
-B's Smith form U B V = D is computed once per bitrade and kept on it:
-G(T), the canonical images, the rank of B and H(T), which is computed
-in G's Smith coordinates, all read it.
+B's Smith form U B V = D is computed once per bitrade and kept on it by
+``solver._relation_smith``: G(T), the canonical images, the rank of B,
+H(T), which is computed in G's Smith coordinates, and the
+deleted-column minors all read it, as does every pointed solve.
 
 ker B always holds the trivial homotopies k1 (1 on rows and symbols)
 and k2 (1 on columns and symbols), so nullity B >= 2, with equality iff
 every integer homotopy is trivial; each pointed system Eq(T, a) has rank
-rank B - 1 and nullity nullity B - 2 (see ``solver``).  The
-deleted-column minors are read off the same elimination of B that
-serves the pointed systems, ``solver.eliminate_pivots``.
+rank B - 1 and nullity nullity B - 2 (see ``solver``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import COL, ROW, InternalCheckFailed, first_collision
 from .exact import smith_normal_form
-from .solver import eliminate_pivots, relation_matrix
+from .solver import _relation_smith
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,6 @@ class AbelianGroupStructure:
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z{d}" for d in self.invariant_factors]
         return " + ".join(parts) if parts else "0"
-
-
-def _relation_smith(T):
-    """(labels, Smith form U B V = D of B), computed once per bitrade.
-
-    The form is verified before it is kept on T, and its readers never
-    modify it.
-    """
-    if T._relation_smith is None:
-        B, labels = relation_matrix(T)
-        T._relation_smith = labels, smith_normal_form(B)
-    return T._relation_smith
 
 
 def presentation(T):
@@ -182,50 +170,38 @@ class DetInvarianceReport:
     nonzero: bool
 
 
-def check_det_invariance(T, elimination=None):
+def check_det_invariance(T):
     """|det B_ij| over all admissible deleted column pairs (i, j) of a spherical T.
 
     Admissible: i indexes a row label and j a later-block label, or i a
     column label and j a symbol label.  For a spherical bitrade all
-    these determinants agree and are nonzero; each is computed exactly
-    from one elimination of B (s x (s + 2)), not assumed: ``elimination``
-    (``solver.eliminate_pivots(T, pivots)``, any pivots) or one made here.
-    Its pivots lie in B's columns only, so those columns reduce as B alone
-    would.  If rank B < s all are 0.  Otherwise, with pivot columns P,
-    other columns n1, n2 and reduced rows R = d B_P^-1 B (|d| = |det B_P|),
-    Cramer's rule gives |d| when n1, n2 are deleted; |R[p, n']| when a
-    pivot p and one n are, n' the other; and
-    |R[p, n1] R[q, n2] - R[p, n2] R[q, n1]| / |d| when pivots p, q are, a
-    division that must be exact.
+    these determinants agree and are nonzero; each is computed exactly,
+    not assumed, from B's Smith form U B V = D (B is s x (s + 2)):
+
+        |det B without columns n1, n2|
+            = (d_1 ... d_s) |V[n1][s] V[n2][s+1] - V[n1][s+1] V[n2][s]|.
+
+    If rank B < s, some d_k is 0, and every minor is 0.
+
+    Proof: the certificate gives B V = [W | 0], W of size s x s, with
+    rowlattice(W) = rowlattice(diag(d)), so |det W| = d_1 ... d_s; and it
+    gives V V_inv = I, so |det V| = 1.  Then B = W V_inv[:s], and deleting
+    columns n1, n2 of B deletes them from V_inv[:s].  By Jacobi's
+    complementary-minor identity, that s x s minor of V_inv is, up to
+    sign, det V_inv times the 2 x 2 minor of V on the complementary rows
+    n1, n2 and columns s, s + 1.
     """
     if not T.spherical:
         raise ValueError("deleted-column minors are square only for a spherical bitrade")
-    E = elimination or eliminate_pivots(T, [])
-    if E.bitrade is not T:
-        raise ValueError("the elimination is not of this bitrade")
-    m, d = len(E.labels), E.d
+    labels, snf = _relation_smith(T)
+    m, s = len(labels), T.size
     o1, o2 = len(T.rows), len(T.cols)
     pairs = [(i, j) for i in range(o1) for j in range(o1, m)]
     pairs += [(i, j) for i in range(o1, o1 + o2) for j in range(o1 + o2, m)]
-    if len(E.pivot_cols) < len(E.rows):
-        return DetInvarianceReport(0, len(pairs), all_equal=True, nonzero=False)
-    row = dict(zip(E.pivot_cols, E.rows))  # pivot column -> its reduced row
-    n1, n2 = (c for c in range(m) if c not in row)
-    values = set()
-    for pair in pairs:
-        deleted = [c for c in pair if c in row]
-        if not deleted:
-            minor = d
-        elif len(deleted) == 1:
-            [kept] = {n1, n2} - set(pair)
-            minor = row[deleted[0]][kept]
-        else:
-            p, q = deleted
-            two = row[p][n1] * row[q][n2] - row[p][n2] * row[q][n1]
-            if two % d:
-                raise InternalCheckFailed(f"2 x 2 minor {two} is not a multiple of {d}")
-            minor = two // d
-        values.add(abs(minor))
+    det_W = math.prod(snf.diagonal)
+    V = snf.V
+    values = {det_W * abs(V[n1][s] * V[n2][s + 1] - V[n1][s + 1] * V[n2][s])
+              for n1, n2 in pairs}
     common = values.pop() if len(values) == 1 else None
     return DetInvarianceReport(
         common_value=common,

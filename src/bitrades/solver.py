@@ -11,15 +11,16 @@ per star triple), with x = 0 at the pivot's row and column labels.  As
 ker B always holds the trivial homotopies k1 (1 on rows and symbols)
 and k2 (1 on columns and symbols), a solution x of B x = -e_a gives the
 solution x - x[a.row] k1 - x[a.col] k2 of Eq(T, a), which has rank
-rank(B) - 1 and nullity nullity(B) - 2.  So ``eliminate_pivots``
-eliminates B once for many pivots; ``solve_pointed`` reads each one, and
-``groups.check_det_invariance`` reads the deleted-column minors off the
-same elimination.
+rank(B) - 1 and nullity nullity(B) - 2.  B's certified Smith form
+U B V = D, computed once per bitrade and kept on it
+(``_relation_smith``), is the one factorisation of B: ``solve_pointed``
+reads every pivot's system off it, and ``groups`` reads G(T), H(T) and
+the deleted-column minors off it.
 
 ``solve_pointed`` keeps each pivot's checked answer on its bitrade (the
 values, or the rank, nullity and status of a singular system), so a
 (T, a) solved again, as by the separations that share one pivot, is
-not eliminated again.  Only plain values are kept, never a ``Solution``:
+not solved again.  Only plain values are kept, never a ``Solution``:
 it refers back to the bitrade, and that cycle would leave the bitrade
 for the cyclic garbage collector to free instead of reference counting.
 """
@@ -28,11 +29,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Bitrade, BitradeError, InternalCheckFailed, Triple, first_collision
-from .exact import eliminate
+from .exact import smith_normal_form
 
 
 class SingularSystem(BitradeError):
@@ -101,61 +103,53 @@ class Solution:
         return n
 
 
-@dataclass(frozen=True)
-class PivotElimination:
-    """[B | -e_a, one column per pivot a] after one elimination of B."""
+def _relation_smith(T):
+    """(labels, Smith form U B V = D of B), computed once per bitrade.
 
-    bitrade: Bitrade
-    labels: list  # the columns of B
-    rows: list  # the reduced rows
-    pivot_cols: list
-    d: int  # the last pivot: every reduced row is d times a rational row
-    column: dict  # pivot -> its right-hand side's column
-
-
-def eliminate_pivots(T, pivots):
-    """Eliminate B once, carrying one -e_a column for every pivot a."""
-    B, labels = relation_matrix(T)
-    column = {a: k for k, a in enumerate(dict.fromkeys(pivots), len(labels))}
-    if not all(map(T.in_star, column)):
-        raise ValueError("a pivot is not a star triple")
-    M = [row + [0] * len(column) for row in B]
-    for row, p in zip(M, T.star):
-        if p in column:
-            row[column[p]] = -1
-    pivot_cols, d = eliminate(M, len(labels))
-    return PivotElimination(T, labels, M, pivot_cols, d, column)
+    The form is certified before it is kept on T, and its readers never
+    modify it.
+    """
+    if T._relation_smith is None:
+        B, labels = relation_matrix(T)
+        T._relation_smith = labels, smith_normal_form(B)
+    return T._relation_smith
 
 
-def solve_pointed(pointed, elimination=None):
+def solve_pointed(pointed):
     """Solve Eq(T, a) exactly; raises SingularSystem if not unique.
 
-    Reads ``elimination`` (``eliminate_pivots(T, pivots)``, a in pivots) or eliminates
-    for a alone.  Checks every equation of Eq(T, a), the pivot's symbol value 1 and,
-    on a spherical T, the range [0, 1]; a failure raises InternalCheckFailed.  The
-    checked answer is kept on T, so each (T, a) is eliminated at most once.
+    Reads B's Smith form; checks every equation of Eq(T, a), the pivot's symbol
+    value 1 and, on a spherical T, the range [0, 1]; a failure raises
+    InternalCheckFailed.  The checked answer is kept on T, so each (T, a) is solved
+    at most once.
     """
     T, a = pointed.bitrade, pointed.pivot
-    if elimination is not None and (elimination.bitrade is not T
-                                    or a not in elimination.column):
-        raise ValueError(f"pivot {a} of this bitrade was not eliminated")
     known = T._solutions.get(a)
     if known is None:
-        known = T._solutions[a] = _solve(T, a, elimination or eliminate_pivots(T, [a]))
+        known = T._solutions[a] = _solve(T, a)
     if type(known) is tuple:
         raise SingularSystem(*known)
     return Solution(pointed, dict(known))
 
 
-def _solve(T, a, E):
-    """Eq(T, a)'s checked values read off E, or (rank, nullity, status) if singular."""
-    k, d, labels = E.column[a], E.d, E.labels
-    m, r = len(labels), len(E.pivot_cols)
-    inconsistent = any(row[k] for row in E.rows[r:])
+def _solve(T, a):
+    """Eq(T, a)'s checked values read off U B V = D, or (rank, nullity, status) if singular.
+
+    With r = rank B and x = V z, B x = -e_a is D z = -U e_a.  It is inconsistent iff
+    U[k][i] != 0 for some k >= r, i the pivot's row of B: row k of U is then a y with
+    y B = 0 (the certificate proved U B = D V_inv, and row k of D is 0) and y e_a != 0.
+    Otherwise, with d = d_r, the largest nonzero d_k, which every d_k divides,
+    z_k = -U[k][i] d / d_k (k < r) gives x = V z, d times a solution.
+    """
+    labels, snf = _relation_smith(T)
+    i = T.star.index(a)
+    m, r = len(labels), snf.rank
+    inconsistent = any(row[i] for row in snf.U[r:])
     if inconsistent or m - r > 2:
         return r - 1, m - r - 2, "no_solution" if inconsistent else "non_unique"
-    x = dict.fromkeys(labels, 0)
-    x.update((labels[c], row[k]) for row, c in zip(E.rows, E.pivot_cols))
+    d = snf.diagonal[r - 1]
+    z = [-row[i] * (d // dk) for row, dk in zip(snf.U, snf.diagonal[:r])]
+    x = {lab: sum(map(operator.mul, Vj, z)) for lab, Vj in zip(labels, snf.V)}
     shift = (x[a.row], x[a.col], x[a.row] + x[a.col])  # x[a.row] k1 + x[a.col] k2 by role
     y = {lab: v - shift[lab.role] for lab, v in x.items()}  # d times the solution
     for p in T.star:
@@ -165,7 +159,7 @@ def _solve(T, a, E):
     # row a of B x = -e_a, the one equation not checked above
     if y[a.sym] != d:
         raise InternalCheckFailed(f"solution does not fix the pivot {a}'s symbol at 1")
-    if T.spherical and not all(0 <= v * d <= d * d for v in y.values()):
+    if T.spherical and not all(0 <= v <= d for v in y.values()):
         raise InternalCheckFailed("spherical solution has a value outside [0, 1]")
     return {lab: Fraction(v, d) for lab, v in y.items()}
 

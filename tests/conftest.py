@@ -133,6 +133,22 @@ def pinched_intercalates():
     return intercalate_pair(1)
 
 
+@pytest.fixture(scope="session")
+def sphere_and_torus(intercalate, toroidal):
+    """The intercalate beside the toroidal bitrade, on disjoint labels.
+
+    m = s + 2, so it counts as spherical, but nullity(B) = 4: rank B < s.
+    """
+    shift = [len(universe) for universe in intercalate.universes]
+
+    def moved(p):
+        return Triple(*(Label(lab.role, lab.index + shift[lab.role], lab.name + "'")
+                        for lab in p))
+
+    return build_bitrade([*intercalate.star, *map(moved, toroidal.star)],
+                         [*intercalate.delta, *map(moved, toroidal.delta)])
+
+
 def product_bitrade(T, k):
     """T times the Cayley table of Z_k: star ((r, i), (c, j), (s, i + j)).
 

@@ -1,11 +1,14 @@
-"""Per-pivot reference paths, kept as oracles for the one elimination of B.
+"""Per-pivot reference paths, kept as oracles for the reads of B's Smith form.
 
 ``build_system`` writes out the pointed system Eq(T, a) for one pivot
 and ``solve_pointed`` solves it with the rational Gauss-Jordan of
 ``rational_oracle``, one elimination per pivot.  ``determinant`` is the
 Bareiss determinant, and ``check_det_invariance`` takes one of them per
-admissible deleted column pair.  ``rank`` counts the pivots of one
-elimination, the rank of B before it was read off B's Smith form.
+admissible deleted column pair.  ``eliminate`` is the fraction-free
+Gauss-Jordan elimination that solved every pivot and gave every minor
+before both were read off B's Smith form; ``rank`` counts the pivots of
+one such elimination, the rank of B before it, too, was read off the
+Smith form.
 ``width`` and ``near_values`` compute a solution's width and scaled
 values directly from its ``Fraction`` values.  ``normalize_homotopy``
 shifts a homotopy so that a base triple's labels map to 0.
@@ -18,10 +21,9 @@ import math
 from fractions import Fraction
 
 import rational_oracle
-from bitrades.exact import eliminate
 from bitrades.core import COL, ROW, SYM
-from bitrades.groups import DetInvarianceReport, relation_matrix
-from bitrades.solver import Homotopy
+from bitrades.groups import DetInvarianceReport
+from bitrades.solver import Homotopy, relation_matrix
 
 
 def _integer_row(row):
@@ -67,6 +69,41 @@ def solve_pointed(T, pivot):
         values = dict(fixed)
         values.update(zip(columns, res.solution))
     return res.status, res.rank, len(columns) - res.rank, values
+
+
+def eliminate(M, width):
+    """Bareiss (fraction-free) Gauss-Jordan elimination of integer rows, in place.
+
+    Pivots are sought in the first ``width`` columns; later columns
+    (right-hand sides) are carried along.  Every step updates whole
+    rows, so every entry stays a minor of M and each division by the
+    previous pivot is exact.  Returns (P, d), the pivot columns and the
+    last pivot (1 if none).  Row k < len(P) is then d (M_P)^-1 M, with
+    M_P the pivot rows' block on the columns P and |d| = |det M_P|; the
+    other rows are 0 in the first ``width`` columns.
+    """
+    n = len(M)
+    pivots = []
+    prev = 1
+    for c in range(width):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        top = M[r]
+        pv = top[c]
+        for i in range(n):
+            if i == r:
+                continue
+            f = M[i][c]
+            if f:
+                M[i] = [(pv * x - f * y) // prev for x, y in zip(M[i], top)]
+            elif pv != prev:
+                M[i] = [pv * x // prev for x in M[i]]
+        prev = pv
+        pivots.append(c)
+    return pivots, prev
 
 
 def rank(A):

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from bitrades.core import COL, ROW
 from bitrades.exact import smith_normal_form
-from bitrades.groups import AbelianGroupStructure, relation_matrix
+from bitrades.groups import AbelianGroupStructure
+from bitrades.solver import relation_matrix
 
 
 def _row_times(v, B):

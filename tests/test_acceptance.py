@@ -17,7 +17,6 @@ from bitrades.groups import (
     integer_homotopy_rank,
     is_abelian_embeddable,
     presentation,
-    relation_matrix,
     subgroup_H,
 )
 from bitrades.solver import (
@@ -25,6 +24,7 @@ from bitrades.solver import (
     PointedBitrade,
     induced_homotopy,
     is_separated_solution,
+    relation_matrix,
     solve_pointed,
 )
 from bitrades.trigons import (

@@ -128,12 +128,12 @@ class TestSolve:
         assert doc["width"] == 2 and doc["separated"]
 
     def test_internal_check_exit_6(self, corpus_dir, capsys, monkeypatch):
-        def wrong(M, width):
-            pivots, d = exact.eliminate(M, width)
-            M[0][-1] += d  # one solution value off by 1
-            return pivots, d
+        def wrong(M):
+            form = exact.smith_normal_form(M)
+            form.U[0] = [u + 1 for u in form.U[0]]  # every solution read off it is wrong
+            return form
 
-        monkeypatch.setattr(solver, "eliminate", wrong)
+        monkeypatch.setattr(solver, "smith_normal_form", wrong)
         code, _, err = run(capsys, "solve", str(corpus_dir / "ex45.json"))
         assert code == 6 and "internal check failed" in err
 
@@ -315,21 +315,22 @@ class TestReport:
 
     def test_one_elimination_per_spherical_file(self, tmp_path, capsys, monkeypatch,
                                                  seeded_spherical):
-        eliminate = exact.eliminate
+        # H, the minors and every pivot of a file read one Smith form of its B
+        smith = exact.smith_normal_form
         count = 0
 
-        def counting(M, width):
+        def counting(M):
             nonlocal count
-            count += 1
-            return eliminate(M, width)
+            count += M == B
+            return smith(M)
 
         for module in (exact, solver, groups):
-            if getattr(module, "eliminate", None) is eliminate:
-                monkeypatch.setattr(module, "eliminate", counting)
+            monkeypatch.setattr(module, "smith_normal_form", counting)
         for i, T in enumerate(seeded_spherical):
             d = tmp_path / str(i)
             d.mkdir()
             jsonio.dump(T, d / "one.json")
+            B, _ = solver.relation_matrix(T)
             count = 0
             code, out, _ = run(capsys, "report", str(d))
             assert (code, count) == (0, 1)

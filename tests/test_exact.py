@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import rational_oracle
 from bitrades.core import InternalCheckFailed
-from bitrades.exact import _verify_smith, eliminate, identity, smith_normal_form
-from pivot_oracle import _integer_row, determinant, rank
+from bitrades.exact import _verify_smith, identity, smith_normal_form
+from pivot_oracle import _integer_row, determinant, eliminate, rank
 from rational_oracle import invert_unimodular, mat_mul, transpose
 
 

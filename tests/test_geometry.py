@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geometry_oracle
+import pivot_oracle
 from bitrades.core import BitradeError, InternalCheckFailed
 from bitrades.geometry import (
     NotSeparatedSolution,
@@ -22,7 +23,7 @@ from bitrades.geometry import (
     triangles,
     verify_dissection,
 )
-from bitrades.solver import PointedBitrade, eliminate_pivots, solve_pointed
+from bitrades.solver import PointedBitrade, relation_matrix, solve_pointed
 from conftest import GRID16_LINES, spherical_dissection, triple_by_names
 from geometry_oracle import (
     clip_polygon,
@@ -289,14 +290,15 @@ class TestAgainstFractionOracle:
                 assert type(report.area_total) is type(report.area_outer) is Fraction
 
     def test_negative_last_pivot(self, seeded_dissections):
-        """Solutions whose elimination ends on a negative pivot d, so that
-        the raw integers y = d * value have the order of the values reversed."""
+        """Solutions of a bitrade whose Bareiss elimination of B ends on a
+        negative pivot d, so that raw integers y = d * value read off it would
+        have the order of the values reversed; B's Smith form has d > 0."""
         pointed = extract_bitrade(seeded_dissections[2])
         T = pointed.bitrade
-        elimination = eliminate_pivots(T, T.star)
-        assert elimination.d == -8
+        B, labels = relation_matrix(T)
+        assert pivot_oracle.eliminate(B, len(labels))[1] == -8
         for pivot in T.star:
-            sol = solve_pointed(PointedBitrade(T, pivot), elimination)
+            sol = solve_pointed(PointedBitrade(T, pivot))
             n, scaled = sol.scaled
             assert n > 0 and all(scaled[lab] == n * v for lab, v in sol.values.items())
             assert verify_dissection(sol) == geometry_oracle.verify_dissection(sol)

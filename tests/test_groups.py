@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import bitrades
 import pivot_oracle
 import rational_oracle
-from bitrades import corpus, exact, groups, solver
+from bitrades import corpus, groups, solver
 from bitrades.core import (
     COL,
     ROW,
@@ -22,16 +22,16 @@ from bitrades.core import (
     build_bitrade,
     metrics,
 )
-from bitrades.exact import SmithForm, smith_normal_form
+from bitrades.exact import SmithForm, _verify_smith, smith_normal_form
 from bitrades.groups import (
     canonical_images,
     check_det_invariance,
     integer_homotopy_rank,
     is_abelian_embeddable,
     presentation,
-    relation_matrix,
     subgroup_H,
 )
+from bitrades.solver import relation_matrix
 from test_exact import cofactor_det
 
 
@@ -180,7 +180,8 @@ class TestSubgroupHAgainstRationalOracle:
 
 
 def test_one_smith_form_of_B_per_bitrade(monkeypatch):
-    # G, the images, H and the rank all read one verified Smith form of B
+    # G, the images, H, the rank, the minors and every pointed solve all
+    # read one verified Smith form of B
     shapes = []
 
     def counted(M):
@@ -188,6 +189,7 @@ def test_one_smith_form_of_B_per_bitrade(monkeypatch):
         return smith_normal_form(M)
 
     monkeypatch.setattr(groups, "smith_normal_form", counted)
+    monkeypatch.setattr(solver, "smith_normal_form", counted)
     T = corpus.example_4x5()
     B, labels = relation_matrix(T)
     for _ in range(2):
@@ -196,6 +198,9 @@ def test_one_smith_form_of_B_per_bitrade(monkeypatch):
         is_abelian_embeddable(T)
         subgroup_H(T)
         integer_homotopy_rank(T)
+        check_det_invariance(T)
+        for a in T.star:
+            solver.solve_pointed(solver.PointedBitrade(T, a))
     assert shapes.count((len(B), len(labels))) == 1
     # H's two forms work on at most |K| = 3 columns: Z14 and two free ones
     assert all(cols <= 3 for _, cols in shapes[1:])
@@ -277,34 +282,58 @@ class TestDetInvariance:
             rep = check_det_invariance(T)
             assert rep.all_equal and rep.nonzero
 
-    def test_against_bareiss_oracle(self, spherical_corpus, seeded_spherical):
+    def test_against_bareiss_oracle(self, spherical_corpus, seeded_spherical, toroidal,
+                                    toroidal_swapped, products, sphere_and_torus):
+        cayley = [cayley_bitrade(n, k, [[f"{x}{i}" for i in range(n)] for x in "rcs"],
+                                 [range(n)] * 3)
+                  for n in range(2, 6) for k in range(1, n)]
+        rep = check_det_invariance(sphere_and_torus)  # rank B < s: every minor is 0
+        assert (rep.common_value, rep.nonzero) == (0, False)
+        spherical = 0
+        for T in [*spherical_corpus.values(), *seeded_spherical, toroidal, toroidal_swapped,
+                  *(T for T, _, _ in products.values()), *cayley, sphere_and_torus]:
+            if T.spherical:
+                assert check_det_invariance(T) == pivot_oracle.check_det_invariance(T)
+                spherical += 1
+            else:  # B has more columns than rows + 2: no deleted-column minor is square
+                with pytest.raises(ValueError):
+                    check_det_invariance(T)
+                with pytest.raises(ValueError, match="non-square"):
+                    pivot_oracle.check_det_invariance(T)
+        assert spherical == 3 + 8 + 1 + 1  # Z_2's Cayley bitrade is the intercalate
+
+    def test_minors_do_not_depend_on_the_kernel_basis(self, spherical_corpus,
+                                                      seeded_spherical):
+        # V's last two columns are a basis of ker B; times G = [[1, 1], [2, 3]]
+        # (and V_inv's last two rows times G^-1 = [[3, -1], [-2, 1]]) the form
+        # still certifies, and every minor must come out the same.  The library's
+        # kernel columns here are k2 - k1 and k1, which make one product of each
+        # 2 x 2 minor 0; after G neither is
         for T in [*spherical_corpus.values(), *seeded_spherical]:
-            assert check_det_invariance(T) == pivot_oracle.check_det_invariance(T)
+            S = build_bitrade(T.star, T.delta)
+            labels, form = solver._relation_smith(S)
+            s = S.size
+            V = [row[:s] + [row[s] + 2 * row[s + 1], row[s] + 3 * row[s + 1]]
+                 for row in form.V]
+            V_inv = form.V_inv[:s] + [
+                [3 * x - y for x, y in zip(form.V_inv[s], form.V_inv[s + 1])],
+                [y - 2 * x for x, y in zip(form.V_inv[s], form.V_inv[s + 1])]]
+            _verify_smith(relation_matrix(S)[0], form.diagonal, form.U, V, V_inv)
+            S._relation_smith = labels, SmithForm(form.diagonal, form.U, V, V_inv)
+            assert check_det_invariance(S) == pivot_oracle.check_det_invariance(T)
 
     def test_non_spherical_rejected(self, toroidal):
         with pytest.raises(ValueError, match="spherical"):
             check_det_invariance(toroidal)
 
-    def test_exact_division_is_checked(self, ex45, monkeypatch):
-        # with the last pivot tripled, the 2 x 2 minors (+-14 d) are no
-        # longer multiples of it
-        def tripled(M, width):
-            pivots, d = exact.eliminate(M, width)
-            return pivots, 3 * d
-
-        monkeypatch.setattr(solver, "eliminate", tripled)
-        with pytest.raises(InternalCheckFailed, match="not a multiple"):
-            check_det_invariance(ex45)
-
     def test_reads_a_shared_elimination(self, spherical_corpus, seeded_spherical):
+        # the minors read the Smith form of B that the pointed solves made
         for T in [*spherical_corpus.values(), *seeded_spherical]:
-            shared = solver.eliminate_pivots(T, T.star)
-            assert check_det_invariance(T, shared) == check_det_invariance(T)
-
-    def test_elimination_must_be_of_this_bitrade(self, ex45, seeded_spherical):
-        for other in (seeded_spherical[0], corpus.example_4x5()):
-            with pytest.raises(ValueError, match="not of this bitrade"):
-                check_det_invariance(ex45, solver.eliminate_pivots(other, []))
+            S = build_bitrade(T.star, T.delta)
+            solver.solve_pointed(solver.PointedBitrade(S, S.star[0]))
+            form = S._relation_smith
+            assert check_det_invariance(S) == check_det_invariance(T)
+            assert S._relation_smith is form
 
     def test_common_value_matches_H_order(self, spherical_corpus):
         # observed experimentally on the corpus; recorded as data

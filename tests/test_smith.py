@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smith_oracle
-from bitrades import corpus, groups
+from bitrades import corpus, groups, solver
 from bitrades.exact import _sparse, _unit_reduce, _verify_smith, smith_normal_form
 from bitrades.solver import relation_matrix
 from test_groups import cayley_bitrade
@@ -61,7 +61,7 @@ def bitrades_under_test(products, seeded_spherical, two_intercalates, pinched_in
 def smith_inputs(T, monkeypatch):
     """B, then the matrices of H's two Smith forms: its generators' and its relations' C."""
     B, _ = relation_matrix(T)
-    groups._relation_smith(T)
+    solver._relation_smith(T)
     seen = []
 
     def recorded(M):

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import operator
 import os
 import subprocess
 import sys
@@ -12,13 +14,14 @@ from hypothesis import given, settings
 
 import bitrades
 import pivot_oracle
-from bitrades import corpus, exact, solver
+from bitrades import corpus, solver
 from bitrades.core import COL, ROW, SYM, InternalCheckFailed, build_bitrade
+from bitrades.exact import smith_normal_form
+from bitrades.groups import presentation
 from bitrades.solver import (
     Homotopy,
     PointedBitrade,
     SingularSystem,
-    eliminate_pivots,
     induced_homotopy,
     is_separated_solution,
     near_values,
@@ -86,12 +89,11 @@ class TestSolvePointed:
 
 
 def solve_all(T, pivots):
-    """One Solution or SingularSystem per pivot, all from one elimination of B."""
-    eliminated = eliminate_pivots(T, pivots)
+    """One Solution or SingularSystem per pivot, all read off one Smith form of B."""
     results = []
     for pivot in pivots:
         try:
-            results.append(solve_pointed(PointedBitrade(T, pivot), eliminated))
+            results.append(solve_pointed(PointedBitrade(T, pivot)))
         except SingularSystem as e:
             results.append(e)
     return results
@@ -110,30 +112,48 @@ def fresh(T):
     return build_bitrade(T.star, T.delta)
 
 
+def assert_verdict_certified(S, pivot, result):
+    """A singular verdict rests on S's certified Smith form U B V = D.
+
+    no_solution: some row y of U past the rank has y B = 0 and y e_a != 0, so
+    B x = -e_a has no solution.  non_unique: m - rank B > 2 on the certified rank.
+    """
+    B, labels = relation_matrix(S)
+    form = S._relation_smith[1]
+    a = S.star.index(pivot)
+    if result.status == "no_solution":
+        assert any(y[a] and not any(sum(map(operator.mul, y, column)) for column in zip(*B))
+                   for y in form.U[form.rank:])
+    else:
+        assert len(labels) - form.rank > 2
+
+
 def assert_pivots_match_oracle(T):
-    # on a fresh bitrade, so that every answer comes from the shared elimination
+    # on a fresh bitrade, so that every answer comes from its one Smith form
     # and none from a solve of T kept by an earlier test
     S = fresh(T)
     results = solve_all(S, S.star)
     assert len(results) == S.size
     for pivot, result in zip(S.star, results):
         assert outcome(S, result) == pivot_oracle.solve_pointed(S, pivot)
-        if not isinstance(result, SingularSystem):
+        if isinstance(result, SingularSystem):
+            assert_verdict_certified(S, pivot, result)
+        else:
             assert result.pivot == pivot and result.bitrade is S
             assert all(type(v) is Fraction for v in result.values.values())
     return results
 
 
 class TestSharedElimination:
-    """One elimination of B gives every pivot what its own system gives."""
+    """B's one Smith form gives every pivot what its own system gives."""
 
     def test_seeded_spherical(self, seeded_spherical):
         for T in seeded_spherical:
             results = assert_pivots_match_oracle(T)
             assert not any(isinstance(res, SingularSystem) for res in results)
 
-    def test_corpus(self, spherical_corpus, toroidal):
-        for T in [*spherical_corpus.values(), toroidal]:
+    def test_corpus(self, spherical_corpus, toroidal, products):
+        for T in [*spherical_corpus.values(), toroidal, *(T for T, _, _ in products.values())]:
             assert_pivots_match_oracle(T)
 
     @given(renamed_cayley())
@@ -160,40 +180,25 @@ class TestSharedElimination:
             own = solve_pointed(PointedBitrade(fresh(ex45), pivot))
             assert result.values == own.values
 
-    def test_pivot_must_be_in_star(self, intercalate):
-        with pytest.raises(ValueError, match="not a star triple"):
-            eliminate_pivots(intercalate, [intercalate.star[0], intercalate.delta[0]])
-
-    def test_pivot_must_have_been_eliminated(self, ex45, nested):
-        eliminated = eliminate_pivots(ex45, [ex45.star[0]])
-        with pytest.raises(ValueError, match="was not eliminated"):
-            solve_pointed(PointedBitrade(ex45, ex45.star[1]), eliminated)
-        # a star triple of both, eliminated with the other bitrade
-        shared = triple_by_names(ex45, "r2", "c0", "s0")
-        eliminated = eliminate_pivots(nested.bitrade, [shared])
-        with pytest.raises(ValueError, match="was not eliminated"):
-            solve_pointed(PointedBitrade(ex45, shared), eliminated)
-
     def test_pivot_values_are_checked(self, monkeypatch):
-        # zeroed right-hand sides give x = 0, which keeps every equation
-        # of Eq(T, a) but leaves the pivot's symbol at 0; a fresh bitrade,
-        # as a solve of the session's ex45 may already be kept on it
+        # a zero U reads every system as consistent with x = 0, which keeps
+        # every equation of Eq(T, a) but leaves the pivot's symbol at 0; a
+        # fresh bitrade, as the session's ex45 may already keep its form
         ex45 = corpus.example_4x5()
-        def zeroed(M, width):
-            pivots, d = exact.eliminate(M, width)
-            for row in M:
-                row[width:] = [0] * (len(row) - width)
-            return pivots, d
+        def zeroed(M):
+            form = smith_normal_form(M)
+            form.U = [[0] * len(row) for row in form.U]
+            return form
 
-        monkeypatch.setattr(solver, "eliminate", zeroed)
+        monkeypatch.setattr(solver, "smith_normal_form", zeroed)
         with pytest.raises(InternalCheckFailed, match="does not fix the pivot"):
             solve_pointed(PointedBitrade(ex45, ex45.star[0]))
 
 
-def answer(T, pivot, elimination=None):
+def answer(T, pivot):
     """outcome() of one solve_pointed call; a SingularSystem is caught here."""
     try:
-        return outcome(T, solve_pointed(PointedBitrade(T, pivot), elimination))
+        return outcome(T, solve_pointed(PointedBitrade(T, pivot)))
     except SingularSystem as e:
         return outcome(T, e)
 
@@ -203,19 +208,22 @@ def other_triples(T, a):
     return [next(p for p in T.star if p[i] != a[i]) for i in range(3)]
 
 
-def count_pivot_eliminations(monkeypatch, T, counts):
-    """Count, per pivot a of T, the eliminations of T's [B | -e_a] through solver."""
+def count_solves(monkeypatch, T, forms, solves):
+    """Count the Smith forms of T's B in forms, and per pivot a the solves of T's Eq(T, a)."""
     B, _ = relation_matrix(T)
-    systems = {a: [row + [-(p == a)] for row, p in zip(B, T.star)] for a in T.star}
-    eliminate = exact.eliminate
+    smith, solve = solver.smith_normal_form, solver._solve
 
-    def counting(M, width):
-        for a, system in systems.items():
-            if M == system:
-                counts[a] = counts.get(a, 0) + 1
-        return eliminate(M, width)
+    def counting_smith(M):
+        forms.append(M == B)
+        return smith(M)
 
-    monkeypatch.setattr(solver, "eliminate", counting)
+    def counting_solve(S, a):
+        if S is T:
+            solves[a] = solves.get(a, 0) + 1
+        return solve(S, a)
+
+    monkeypatch.setattr(solver, "smith_normal_form", counting_smith)
+    monkeypatch.setattr(solver, "_solve", counting_solve)
 
 
 class TestSolutionMemo:
@@ -240,23 +248,29 @@ class TestSolutionMemo:
         assert singular  # the toroidal and some Cayley systems are singular
 
     def test_shared_elimination_reads_and_fills_the_memo(self, instances):
+        # the Smith form of B that G(T) made serves every solve, which fills the memo
         for T in instances:
             S = fresh(T)
-            elimination = eliminate_pivots(S, S.star)
-            assert [answer(S, p, elimination) for p in S.star] == [answer(T, p) for p in T.star]
+            presentation(S)
+            form = S._relation_smith
+            assert [answer(S, p) for p in S.star] == [answer(T, p) for p in T.star]
+            assert S._relation_smith is form and len(S._solutions) == S.size
             assert [answer(S, p) for p in S.star] == [answer(T, p) for p in T.star]
 
     def test_three_separations_eliminate_their_pivot_once(self, nested, seeded_spherical,
                                                           monkeypatch):
+        # the outer solve and the separations from every pivot read one Smith
+        # form of T's B, and solve each Eq(T, a) once
         for source in [nested.bitrade, *seeded_spherical]:
             T = fresh(source)
-            counts = {}
-            count_pivot_eliminations(monkeypatch, T, counts)
+            forms, solves = [], {}
+            count_solves(monkeypatch, T, forms, solves)
             for a in T.star:
                 solve_pointed(PointedBitrade(T, a))
                 for i, b in enumerate(other_triples(T, a)):
                     separate_trace(T, a, b, i)
-            assert counts == dict.fromkeys(T.star, 1)
+            assert forms.count(True) == 1
+            assert solves == dict.fromkeys(T.star, 1)
 
     def test_singular_system_raised_afresh(self, toroidal):
         T = fresh(toroidal)
@@ -272,33 +286,35 @@ class TestSolutionMemo:
         assert str(first) == str(second)
 
     def test_failed_check_is_not_memoised(self, ex45, monkeypatch):
-        def wrong(M, width):
-            calls.append(width)
-            pivots, d = exact.eliminate(M, width)
-            M[0][-1] += d  # one solution value off by 1
-            return pivots, d
+        def misread(S):
+            # the kept form with 1 added to U's row 0: every solution read off it is wrong
+            calls.append(S)
+            labels, form = relation_smith(S)
+            return labels, dataclasses.replace(
+                form, U=[[u + 1 for u in form.U[0]], *form.U[1:]])
 
+        relation_smith = solver._relation_smith
         T = fresh(ex45)
         for pivot in T.star:
             calls = []
-            monkeypatch.setattr(solver, "eliminate", wrong)
+            monkeypatch.setattr(solver, "_relation_smith", misread)
             for _ in range(2):
                 with pytest.raises(InternalCheckFailed):
                     solve_pointed(PointedBitrade(T, pivot))
-            assert len(calls) == 2  # the failure was not kept: each call eliminated
+            # the failure was not kept: each call solved afresh
+            assert len(calls) == 2 and pivot not in T._solutions
             monkeypatch.undo()
             assert answer(T, pivot) == pivot_oracle.solve_pointed(T, pivot)
 
     def test_returned_values_are_copies(self, ex45, toroidal_swapped):
         for source in (ex45, toroidal_swapped):
             T = fresh(source)
-            elimination = eliminate_pivots(T, T.star)
             for pivot in T.star:
                 expected = pivot_oracle.solve_pointed(T, pivot)[3]
                 if expected is None:
                     continue
-                for elim in (elimination, None, elimination):
-                    sol = solve_pointed(PointedBitrade(T, pivot), elim)
+                for _ in range(3):
+                    sol = solve_pointed(PointedBitrade(T, pivot))
                     assert sol.values == expected
                     sol.values[pivot.sym] += 1
                     sol.values.pop(pivot.row)
@@ -310,9 +326,8 @@ class TestSolutionMemo:
                 if answer(T, a)[0] == "unique" and T.spherical:
                     for i, b in enumerate(other_triples(T, a)):
                         separate_trace(T, a, b, i)
-            elimination = eliminate_pivots(T, T.star)
             for a in T.star:
-                answer(T, a, elimination)
+                answer(T, a)
 
         enabled = gc.isenabled()
         gc.disable()
@@ -321,7 +336,7 @@ class TestSolutionMemo:
                            toroidal_swapped]:
                 T = fresh(source)
                 solve_everything(T)
-                assert len(T._solutions) == T.size
+                assert len(T._solutions) == T.size and T._relation_smith is not None
                 freed = weakref.ref(T)
                 del T
                 assert freed() is None
@@ -428,11 +443,11 @@ def test_internal_check_survives_optimize_flag():
     script = textwrap.dedent("""
         from bitrades import corpus, exact, solver
         assert False, "asserts are on"
-        def wrong(M, width):
-            pivots, d = exact.eliminate(M, width)
-            M[0][-1] += d  # one solution value off by 1
-            return pivots, d
-        solver.eliminate = wrong
+        def wrong(M):
+            form = exact.smith_normal_form(M)
+            form.U[0] = [u + 1 for u in form.U[0]]  # every solution read off it is wrong
+            return form
+        solver.smith_normal_form = wrong
         T = corpus.example_4x5()
         try:
             solver.solve_pointed(solver.PointedBitrade(T, T.star[0]))
