@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers, with integer arithmetic only.
 
 Matrices come in and go out as plain lists of lists of ints.  One
-routine, ``smith_normal_form``, does all elimination: it factors a
-bitrade's relation matrix B once, and every pointed solve, G(T), H(T)
-and every deleted-column minor is read off that one certified form.
+routine, ``smith_normal_form``, does all elimination, and the library
+calls it on one matrix only: it factors a bitrade's relation matrix B
+once, and every pointed solve, G(T), H(T) and every deleted-column
+minor is read off that one certified form.
 
 ``smith_normal_form`` works in two phases.  ``_unit_reduce`` eliminates
 the unit pivots sparsely, on rows held as dicts of their nonzeros, the
@@ -80,10 +81,6 @@ def smith_normal_form(M):
     m = len(M[0]) if n else 0
     M = _sparse(M)
     pivots, rows, cols, block = _unit_reduce(M, m)
-    if not pivots:  # no unit entry: the block is all of M, and nothing is composed
-        diagonal, U, V, V_inv = _dense_smith(block, m)
-        _certify(M, diagonal, _sparse(U), _sparse(V), _sparse(V_inv))
-        return SmithForm(diagonal, U, V, V_inv)
     U = [{i: 1} for i in range(n)]
     V_cols = [{j: 1} for j in range(m)]  # V by columns, which the column operations add
     V_inv = [{j: 1} for j in range(m)]

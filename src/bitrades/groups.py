@@ -4,12 +4,14 @@ The relation matrix B has one row per star triple (row + col - sym = 0)
 over the m label generators.  G(T) is the free abelian group on the
 labels modulo the row lattice of B; H(T) is the subgroup generated by
 within-role differences of label classes.  Both are reported by free
-rank and invariant factors via Smith normal form.
+rank and invariant factors.  G(T) = H(T) + Z^2 on every bitrade (see
+``subgroup_H``), so H(T) is read off G's structure with no form of its
+own.
 
 B's Smith form U B V = D is computed once per bitrade and kept on it by
-``solver._relation_smith``: G(T), the canonical images, the rank of B,
-H(T), which is computed in G's Smith coordinates, and the
-deleted-column minors all read it, as does every pointed solve.
+``solver._relation_smith``: G(T), and through it H(T), the canonical
+images, the rank of B and the deleted-column minors all read it, as
+does every pointed solve.
 
 ker B always holds the trivial homotopies k1 (1 on rows and symbols)
 and k2 (1 on columns and symbols), so nullity B >= 2, with equality iff
@@ -22,7 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import COL, ROW, InternalCheckFailed, first_collision
+from .core import InternalCheckFailed, first_collision
+# not called here (B's one Smith form is made in solver): the benchmark's
+# tracer tests wrap and unwrap the function through this binding
 from .exact import smith_normal_form
 from .solver import _relation_smith
 
@@ -112,54 +116,28 @@ def is_abelian_embeddable(T):
 def subgroup_H(T):
     """Structure of H(T), the within-role difference subgroup of G(T).
 
-    H = (L + N) / N where N is the row lattice of B and L is generated
-    by the differences e_b - e_a of the row labels, and of the column
-    labels, against those of a fixed base star triple a.  In the Smith
-    coordinates of ``canonical_images``, G = Z^K / D_K and H is
-    (A + D_K) / D_K, with A spanned by the differences of the labels'
-    images (reducing an image mod d_k keeps it in its class, so A + D_K
-    is the same).  With U' gens V' = D' the Smith form of the generators
-    of A + D_K, the rows d'_j (V'^-1)_j with d'_j != 0 are a basis of
-    A + D_K, and a relation row d_k e_k has coordinates d_k V'_kj / d'_j
-    in it.  So H is presented by the rows d_k V'_k (d_k != 0) on the
-    columns with d'_j != 0, each divided exactly by its d'_j; a nonzero
-    remainder, or a nonzero entry where d'_j = 0, means the row is not
-    in the lattice and raises InternalCheckFailed.  (Z^K / (A + D_K) is
-    G / H.  It is generated by the classes of one row and one column
-    label, and rows -> (1, 0), columns -> (0, 1), symbols -> (1, 1) maps
-    it onto Z^2, so it is free and every nonzero d'_j is 1; the division
-    stays as a check.)
-    """
-    ci = canonical_images(T)
-    width = len(ci.moduli)
-    relations = [(k, d) for k, d in enumerate(ci.moduli) if d]
-    gens = [[d if j == k else 0 for j in range(width)] for k, d in relations]
-    base = T.star[0]
-    for i in (ROW, COL):
-        origin = ci.images[base[i]]
-        for lab in dict.fromkeys(p[i] for p in T.star):
-            if lab != base[i]:
-                gens.append([x - y for x, y in zip(ci.images[lab], origin)])
+    G(T) = H(T) + Z^2 on every bitrade, so H is read off G's structure:
+    its invariant factors are G's and its free rank is G's minus 2.
 
-    snf = smith_normal_form(gens)
-    diag = snf.diagonal + [0] * (width - len(snf.diagonal))
-    C = []
-    for k, d in relations:
-        rV = [d * v for v in snf.V[k]]
-        if any(v % e if e else v for v, e in zip(rV, diag)):
-            raise InternalCheckFailed("relation row is not in the lattice A + D_K")
-        C.append([v // e for v, e in zip(rV, diag) if e])
-    H_snf = smith_normal_form(C)
-    H = AbelianGroupStructure(snf.rank - H_snf.rank, tuple(H_snf.invariant_factors))
-    if T.spherical:
-        G = presentation(T)
-        if H.free_rank != 0:
-            raise InternalCheckFailed("H must be finite for a spherical bitrade")
-        if H.invariant_factors != G.invariant_factors:
-            raise InternalCheckFailed("H must equal the torsion of G for a spherical bitrade")
-        if G.free_rank != 2:
-            raise InternalCheckFailed("G must have free rank 2 for a spherical bitrade")
-    return H
+    Proof: rows -> (1, 0), columns -> (0, 1), symbols -> (1, 1) sends
+    every relation row + col - sym to 0, so it maps G onto Z^2, and it
+    is 0 on H, which is generated by differences within a role.  G / H
+    is generated by the classes of one row label and one column label,
+    since every symbol's class is that of a row plus a column.  So
+    e_1 -> [row], e_2 -> [column] maps Z^2 onto G / H, and followed by
+    the map to Z^2 it is the identity: G / H = Z^2.  That quotient is
+    free, so G = H + Z^2, and H is the torsion of G plus a free part of
+    rank free_rank(G) - 2 (never negative, by the map onto Z^2).
+
+    On a spherical bitrade G must have free rank 2, so that H is
+    exactly the torsion of G.  That is checked at run time with an
+    explicit raise, so it holds under ``python -O``.
+    """
+    G = presentation(T)
+    if T.spherical and G.free_rank != 2:
+        raise InternalCheckFailed(
+            "G must have free rank 2 for a spherical bitrade, so that H is its torsion")
+    return AbelianGroupStructure(G.free_rank - 2, G.invariant_factors)
 
 
 @dataclass(frozen=True)
@@ -190,6 +168,18 @@ def check_det_invariance(T):
     complementary-minor identity, that s x s minor of V_inv is, up to
     sign, det V_inv times the 2 x 2 minor of V on the complementary rows
     n1, n2 and columns s, s + 1.
+
+    The common value is |H(T)| when rank B = s, that is when G has free
+    rank 2.  Then V's last two columns are a basis of ker B, which has
+    rank 2 and is Z k1 + Z k2: k1 and k2 lie in it, and a rational
+    combination a k1 + b k2 is integral only if a and b are, as (k1, k2)
+    is (1, 0) on a row label and (0, 1) on a column label.  So those
+    columns are (k1, k2) times a matrix of determinant +-1, and the
+    2 x 2 minor of V on rows n1, n2 is +-det [[k1[n1], k2[n1]],
+    [k1[n2], k2[n2]]]: 1 for a row label and a column or symbol label,
+    -1 for a column label and a symbol label.  Every admissible minor is
+    therefore d_1 ... d_s, the order of G's torsion, which is H (see
+    ``subgroup_H``).
     """
     if not T.spherical:
         raise ValueError("deleted-column minors are square only for a spherical bitrade")

@@ -179,6 +179,54 @@ def products(intercalate, ex45):
     }
 
 
+def connected_sum(T1, p, T2, q):
+    """T1 and T2 glued at the star triple p of T1 and the delta triple q of T2.
+
+    T2's labels are made disjoint from T1's, except that q's three labels
+    become p's; p then leaves the star and q the delta.  On the planar
+    Eulerian triangulations of spherical bitrades this glues two spheres
+    along a face (Cavenagh & Lisonek, "Planar Eulerian triangulations are
+    equivalent to spherical Latin bitrades", JCTA 115 (2008)), so the sum
+    of two spherical bitrades is spherical, of size s1 + s2 - 1.
+    """
+    tag = f"+{len(T1.star)}"
+    shift = [1 + max(lab.index for lab in universe) for universe in T1.universes]
+    moved = {}
+    for role, universe in enumerate(T2.universes):
+        for lab in universe:
+            moved[lab] = (p[role] if lab == q[role] else
+                          Label(role, lab.index + shift[role], lab.name + tag))
+
+    def image(t):
+        return Triple(*(moved[lab] for lab in t))
+
+    star = [t for t in T1.star if t != p] + [image(t) for t in T2.star]
+    delta = list(T1.delta) + [image(t) for t in T2.delta if t != q]
+    return build_bitrade(star, delta)
+
+
+@pytest.fixture(scope="session")
+def connected_sums(spherical_corpus, seeded_spherical):
+    """(sum, parts) for 20 seeded connected sums of two or three spherical bitrades.
+
+    Each part is glued at a seeded star triple of the sum so far and a
+    seeded delta triple of the part, so the sums come from no geometry.
+    The parts have 4 to 12 triples and the sums 7 to 25, as the rational
+    H oracle is slow.
+    """
+    parts = [*spherical_corpus.values(), *seeded_spherical[:3]]
+    sums = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        glued = [rng.choice(parts)]
+        T = glued[0]
+        for _ in range(rng.randint(1, 2)):
+            glued.append(rng.choice(parts))
+            T = connected_sum(T, rng.choice(T.star), glued[-1], rng.choice(glued[-1].delta))
+        sums.append((T, glued))
+    return sums
+
+
 @pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory, intercalate, ex45, toroidal, toroidal_swapped, nested):
     from bitrades import jsonio

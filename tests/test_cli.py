@@ -181,11 +181,12 @@ class TestEmbed:
 
 
     def test_group_check_exit_6(self, corpus_dir, capsys, monkeypatch):
-        # H = torsion(G) fails against a wrong G and raises AssertionError
+        # a spherical input whose G has free rank 3 fails the check that H is
+        # G's torsion, an InternalCheckFailed
         monkeypatch.setattr(groups, "presentation",
-                            lambda T: groups.AbelianGroupStructure(2, (3,)))
+                            lambda T: groups.AbelianGroupStructure(3, (14,)))
         code, _, err = run(capsys, "embed", str(corpus_dir / "ex45.json"))
-        assert code == 6 and "torsion of G" in err
+        assert code == 6 and "G must have free rank 2" in err and "torsion" in err
 
 
 class TestSeparateAndTrigons:
@@ -315,13 +316,13 @@ class TestReport:
 
     def test_one_elimination_per_spherical_file(self, tmp_path, capsys, monkeypatch,
                                                  seeded_spherical):
-        # H, the minors and every pivot of a file read one Smith form of its B
+        # H, the minors and every pivot of a file read one Smith form of its B,
+        # and no other Smith form is made
         smith = exact.smith_normal_form
-        count = 0
+        forms = []  # per form made: is it of B?
 
         def counting(M):
-            nonlocal count
-            count += M == B
+            forms.append(M == B)
             return smith(M)
 
         for module in (exact, solver, groups):
@@ -331,9 +332,9 @@ class TestReport:
             d.mkdir()
             jsonio.dump(T, d / "one.json")
             B, _ = solver.relation_matrix(T)
-            count = 0
+            forms.clear()
             code, out, _ = run(capsys, "report", str(d))
-            assert (code, count) == (0, 1)
+            assert (code, forms) == (0, [True])
             det_B = {row["det_B"] for row in csv.DictReader(io.StringIO(out))}
             assert det_B == {str(groups.check_det_invariance(T).common_value)}
             assert det_B == {str(pivot_oracle.check_det_invariance(T).common_value)}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import bitrades
 import pivot_oracle
 import rational_oracle
+import smith_oracle
 from bitrades import corpus, groups, solver
 from bitrades.core import (
     COL,
@@ -84,8 +85,8 @@ class TestSubgroupH:
         assert H.free_rank == 0
         assert H.invariant_factors == (10,)
 
-    def test_spherical_H_is_torsion_of_G(self, spherical_corpus):
-        for T in spherical_corpus.values():
+    def test_spherical_H_is_torsion_of_G(self, spherical_corpus, connected_sums):
+        for T in [*spherical_corpus.values(), *(T for T, _ in connected_sums)]:
             G, H = presentation(T), subgroup_H(T)
             assert H.free_rank == 0
             assert H.invariant_factors == G.invariant_factors
@@ -127,61 +128,47 @@ def renamed_cayley(draw):
 
 
 class TestSubgroupHAgainstRationalOracle:
-    """H in G's Smith coordinates equals H from an explicit lattice basis and rational solves."""
+    """H read off G = H + Z^2 equals H from an explicit lattice basis and rational
+    solves, and H from the two further Smith forms of ``smith_oracle``."""
+
+    @staticmethod
+    def assert_matches_oracles(T):
+        H = subgroup_H(T)
+        assert H == rational_oracle.subgroup_H(T)
+        assert H == smith_oracle.subgroup_H(T)
+        return H
 
     def test_corpus(self, spherical_corpus, toroidal, toroidal_swapped, seeded_spherical,
-                    two_intercalates, pinched_intercalates):
+                    two_intercalates, pinched_intercalates, connected_sums):
         for T in [*spherical_corpus.values(), toroidal, toroidal_swapped, *seeded_spherical,
-                  two_intercalates, pinched_intercalates]:
-            assert subgroup_H(T) == rational_oracle.subgroup_H(T)
+                  two_intercalates, pinched_intercalates, *(T for T, _ in connected_sums)]:
+            self.assert_matches_oracles(T)
 
     @given(renamed_cayley())
     @settings(max_examples=25, deadline=None)
     def test_cayley_tables_under_renaming(self, case):
         n, T = case
-        H = subgroup_H(T)
-        assert H == rational_oracle.subgroup_H(T)
+        H = self.assert_matches_oracles(T)
         assert H.free_rank == 0 and H.order == n
-
-    @staticmethod
-    def generators_fault(monkeypatch, change):
-        """A fresh ex45 whose next Smith form, that of H's generators, has
-        its diagonal changed; B's form is kept on the bitrade first, so
-        the fault reaches neither it nor a shared fixture."""
-        T = corpus.example_4x5()
-        presentation(T)
-
-        def faulty(M):
-            monkeypatch.setattr(groups, "smith_normal_form", smith_normal_form)
-            snf = smith_normal_form(M)
-            return SmithForm([change(d) for d in snf.diagonal], snf.U, snf.V, snf.V_inv)
-
-        monkeypatch.setattr(groups, "smith_normal_form", faulty)
-        return T
-
-    def test_exact_division_is_checked(self, monkeypatch):
-        # G = Z^2 + Z14: the relation row 14 e_k has coordinates 14 V'_kj,
-        # and V'_k, a row of a unimodular matrix, has an entry prime to 3
-        T = self.generators_fault(monkeypatch, lambda d: 3 * d)
-        with pytest.raises(InternalCheckFailed, match="not in the lattice"):
-            subgroup_H(T)
-
-    def test_zero_diagonal_entry_is_checked(self, monkeypatch):
-        # with every d'_j = 0 no nonzero relation row is in the lattice
-        T = self.generators_fault(monkeypatch, lambda d: 0)
-        with pytest.raises(InternalCheckFailed, match="not in the lattice"):
-            subgroup_H(T)
 
     def test_products_with_cyclic_groups(self, products):
         for T, G, H in products.values():
             assert presentation(T) == groups.AbelianGroupStructure(*G)
-            assert subgroup_H(T) == rational_oracle.subgroup_H(T)
-            assert subgroup_H(T) == groups.AbelianGroupStructure(*H)
+            assert self.assert_matches_oracles(T) == groups.AbelianGroupStructure(*H)
+
+    def test_free_rank_of_G_above_2(self, two_intercalates, pinched_intercalates,
+                                    sphere_and_torus):
+        # H keeps G's free rank minus 2: nullity B is 4, 3 and 4 here (test_corpus
+        # compares the first two with the oracles)
+        for T, free in ((two_intercalates, 2), (pinched_intercalates, 1)):
+            assert subgroup_H(T).free_rank == free
+        with pytest.raises(InternalCheckFailed, match="free rank 2"):
+            subgroup_H(sphere_and_torus)  # m = s + 2, yet G = Z^4 + Z2
 
 
 def test_one_smith_form_of_B_per_bitrade(monkeypatch):
     # G, the images, H, the rank, the minors and every pointed solve all
-    # read one verified Smith form of B
+    # read one verified Smith form of B, and no other form is made
     shapes = []
 
     def counted(M):
@@ -201,17 +188,16 @@ def test_one_smith_form_of_B_per_bitrade(monkeypatch):
         check_det_invariance(T)
         for a in T.star:
             solver.solve_pointed(solver.PointedBitrade(T, a))
-    assert shapes.count((len(B), len(labels))) == 1
-    # H's two forms work on at most |K| = 3 columns: Z14 and two free ones
-    assert all(cols <= 3 for _, cols in shapes[1:])
+    assert shapes == [(len(B), len(labels))]
 
 
 def test_spherical_H_check_survives_optimize_flag():
-    # under python -O a bare assert vanishes; the H = torsion(G) check must not
+    # under python -O a bare assert vanishes; the check that G has free rank 2
+    # on a spherical input, so that H is its torsion, must not
     script = textwrap.dedent("""
         from bitrades import corpus, groups
         assert False, "asserts are on"
-        groups.presentation = lambda T: groups.AbelianGroupStructure(2, (3,))
+        groups.presentation = lambda T: groups.AbelianGroupStructure(3, (14,))
         try:
             groups.subgroup_H(corpus.example_4x5())
         except AssertionError as exc:
@@ -225,7 +211,7 @@ def test_spherical_H_check_survives_optimize_flag():
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised: H must equal the torsion of G")
+    assert done.stdout.startswith("raised: G must have free rank 2 for a spherical bitrade")
 
 
 class TestCanonicalImages:
@@ -245,8 +231,8 @@ class TestCanonicalImages:
 
 
 class TestEmbeddability:
-    def test_spherical_always_embeddable(self, spherical_corpus):
-        for T in spherical_corpus.values():
+    def test_spherical_always_embeddable(self, spherical_corpus, connected_sums):
+        for T in [*spherical_corpus.values(), *(T for T, _ in connected_sums)]:
             assert is_abelian_embeddable(T) == (True, None)
 
     def test_toroidal_star_side_fails(self, toroidal):
@@ -277,10 +263,20 @@ class TestDetInvariance:
         Bij = [[x for k, x in enumerate(row) if k not in (0, 5)] for row in B]
         assert abs(cofactor_det(Bij)) == 2
 
-    def test_all_spherical(self, spherical_corpus):
-        for T in spherical_corpus.values():
+    def test_all_spherical(self, spherical_corpus, connected_sums):
+        for T in [*spherical_corpus.values(), *(T for T, _ in connected_sums)]:
             rep = check_det_invariance(T)
             assert rep.all_equal and rep.nonzero
+
+    def test_det_B_of_a_connected_sum_is_the_parts_product(self, connected_sums):
+        # an observed property, not proven: it held on every seeded sum tried,
+        # though H itself need not be the direct sum of the parts' H (Z4 and Z2
+        # give Z8 in one sum, Z2 + Z4 in another)
+        for T, parts in connected_sums:
+            product = 1
+            for part in parts:
+                product *= check_det_invariance(part).common_value
+            assert check_det_invariance(T).common_value == product
 
     def test_against_bareiss_oracle(self, spherical_corpus, seeded_spherical, toroidal,
                                     toroidal_swapped, products, sphere_and_torus):
@@ -335,9 +331,12 @@ class TestDetInvariance:
             assert check_det_invariance(S) == check_det_invariance(T)
             assert S._relation_smith is form
 
-    def test_common_value_matches_H_order(self, spherical_corpus):
-        # observed experimentally on the corpus; recorded as data
-        for T in spherical_corpus.values():
+    def test_common_value_matches_H_order(self, spherical_corpus, seeded_spherical,
+                                          connected_sums):
+        # proven in check_det_invariance's docstring: ker B = Z k1 + Z k2 makes
+        # every admissible 2 x 2 minor of V +-1, so every minor is d_1 ... d_s = |H|
+        for T in [*spherical_corpus.values(), *seeded_spherical,
+                  *(T for T, _ in connected_sums)]:
             assert check_det_invariance(T).common_value == subgroup_H(T).order
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smith_oracle
-from bitrades import corpus, groups, solver
+from bitrades import corpus, groups
 from bitrades.exact import _sparse, _unit_reduce, _verify_smith, smith_normal_form
 from bitrades.solver import relation_matrix
 from test_groups import cayley_bitrade
@@ -59,18 +59,19 @@ def bitrades_under_test(products, seeded_spherical, two_intercalates, pinched_in
 
 
 def smith_inputs(T, monkeypatch):
-    """B, then the matrices of H's two Smith forms: its generators' and its relations' C."""
+    """B, then the matrices of the oracle H's two Smith forms: its generators' and its
+    relations' C, small matrices with few or no unit entries."""
     B, _ = relation_matrix(T)
-    solver._relation_smith(T)
     seen = []
+    dense = smith_oracle.smith_normal_form
 
     def recorded(M):
         seen.append([row[:] for row in M])
-        return smith_normal_form(M)
+        return dense(M)
 
     with monkeypatch.context() as patch:
-        patch.setattr(groups, "smith_normal_form", recorded)
-        groups.subgroup_H(T)
+        patch.setattr(smith_oracle, "smith_normal_form", recorded)
+        smith_oracle.subgroup_H(T)
     gens, C = seen
     return {"B": B, "gens": gens, "C": C}
 

@@ -72,8 +72,9 @@ class TestSolvePointed:
         assert len(columns) == 14 - 3
         assert len(fixed) == 3
 
-    def test_every_spherical_pivot_solvable(self, spherical_corpus):
-        for T in spherical_corpus.values():
+    def test_every_spherical_pivot_solvable(self, spherical_corpus, connected_sums):
+        # the connected sums are spherical bitrades that no dissection produced
+        for T in [*spherical_corpus.values(), *(T for T, _ in connected_sums)]:
             for pivot in T.star:
                 sol = solve_pointed(PointedBitrade(T, pivot))
                 assert all(0 <= v <= 1 for v in sol.values.values())
