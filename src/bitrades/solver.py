@@ -1,4 +1,4 @@
-"""Exact rational solving of the pointed linear system of a bitrade.
+"""Exact integer solving of the pointed linear system of a bitrade.
 
 For a bitrade T with a pivot star triple a, the system Eq(T, a) fixes
 the pivot's row and column values at 0 and its symbol value at 1, drops
@@ -17,19 +17,25 @@ U B V = D, computed once per bitrade and kept on it
 reads every pivot's system off it, and ``groups`` reads G(T), H(T) and
 the deleted-column minors off it.
 
+A solution is solved and checked in integers: d times the values, d
+from the Smith diagonal, reduced once to (n, n * values) over the width
+n, the lcm of the values' denominators.  ``Solution`` holds that pair
+as ``scaled``, which every reader in the library uses, and builds the
+``Fraction`` values only when ``values`` is read.
+
 ``solve_pointed`` keeps each pivot's checked answer on its bitrade (the
-values, or the rank, nullity and status of a singular system), so a
-(T, a) solved again, as by the separations that share one pivot, is
-not solved again.  Only plain values are kept, never a ``Solution``:
-it refers back to the bitrade, and that cycle would leave the bitrade
-for the cyclic garbage collector to free instead of reference counting.
+pair (n, n * values), or the rank, nullity and status of a singular
+system), so a (T, a) solved again, as by the separations that share one
+pivot, is not solved again.  Only plain integers are kept, never a
+``Solution``: it refers back to the bitrade, and that cycle would leave
+the bitrade for the cyclic garbage collector to free instead of
+reference counting.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,12 +79,26 @@ def relation_matrix(T):
     return B, labels
 
 
-@dataclass(frozen=True)
 class Solution:
-    """Exact rational values, one per label, for a pointed bitrade."""
+    """Exact values, one per label, for a pointed bitrade.
 
-    pointed: PointedBitrade
-    values: dict  # Label -> Fraction
+    ``scaled`` is (n, {label: n * value}): the values as integers over their
+    width n, the lcm of their denominators.  ``values`` is {label: Fraction}.
+    ``solve_pointed`` gives ``scaled``, and ``values`` is built from it on
+    first read; ``Solution(pointed, values)`` derives ``scaled`` from the
+    Fractions instead.
+    """
+
+    def __init__(self, pointed, values):
+        self.pointed = pointed
+        self.values = values  # fills the cached property of that name
+
+    @classmethod
+    def _over_width(cls, pointed, n, scaled):
+        sol = cls.__new__(cls)
+        sol.pointed = pointed
+        sol.scaled = n, scaled
+        return sol
 
     @property
     def bitrade(self):
@@ -87,6 +107,11 @@ class Solution:
     @property
     def pivot(self):
         return self.pointed.pivot
+
+    @functools.cached_property
+    def values(self):
+        n, scaled = self.scaled
+        return {lab: Fraction(v, n) for lab, v in scaled.items()}
 
     @functools.cached_property
     def scaled(self):
@@ -127,19 +152,22 @@ def solve_pointed(pointed):
     known = T._solutions.get(a)
     if known is None:
         known = T._solutions[a] = _solve(T, a)
-    if type(known) is tuple:
+    if len(known) == 3:  # (rank, nullity, status), not (n, scaled)
         raise SingularSystem(*known)
-    return Solution(pointed, dict(known))
+    n, scaled = known
+    return Solution._over_width(pointed, n, dict(scaled))
 
 
 def _solve(T, a):
-    """Eq(T, a)'s checked values read off U B V = D, or (rank, nullity, status) if singular.
+    """Eq(T, a)'s checked (n, {label: n * value}), or (rank, nullity, status) if singular.
 
     With r = rank B and x = V z, B x = -e_a is D z = -U e_a.  It is inconsistent iff
     U[k][i] != 0 for some k >= r, i the pivot's row of B: row k of U is then a y with
     y B = 0 (the certificate proved U B = D V_inv, and row k of D is 0) and y e_a != 0.
-    Otherwise, with d = d_r, the largest nonzero d_k, which every d_k divides,
-    z_k = -U[k][i] d / d_k (k < r) gives x = V z, d times a solution.
+    Otherwise, with d = d_r > 0, the largest nonzero d_k, which every d_k divides,
+    z_k = -U[k][i] d / d_k (k < r) gives x = V z, d times a solution; only the k
+    with U[k][i] != 0 contribute.  The checks run on these integers, and dividing
+    them and d by their gcd g gives the values over their width d / g.
     """
     labels, snf = _relation_smith(T)
     i = T.star.index(a)
@@ -148,8 +176,12 @@ def _solve(T, a):
     if inconsistent or m - r > 2:
         return r - 1, m - r - 2, "no_solution" if inconsistent else "non_unique"
     d = snf.diagonal[r - 1]
-    z = [-row[i] * (d // dk) for row, dk in zip(snf.U, snf.diagonal[:r])]
-    x = {lab: sum(map(operator.mul, Vj, z)) for lab, Vj in zip(labels, snf.V)}
+    x = [0] * m
+    for k, (row, dk) in enumerate(zip(snf.U, snf.diagonal[:r])):
+        if row[i]:
+            zk = -row[i] * (d // dk)
+            x = [xj + Vj[k] * zk for xj, Vj in zip(x, snf.V)]
+    x = dict(zip(labels, x))
     shift = (x[a.row], x[a.col], x[a.row] + x[a.col])  # x[a.row] k1 + x[a.col] k2 by role
     y = {lab: v - shift[lab.role] for lab, v in x.items()}  # d times the solution
     for p in T.star:
@@ -161,7 +193,8 @@ def _solve(T, a):
         raise InternalCheckFailed(f"solution does not fix the pivot {a}'s symbol at 1")
     if T.spherical and not all(0 <= v <= d for v in y.values()):
         raise InternalCheckFailed("spherical solution has a value outside [0, 1]")
-    return {lab: Fraction(v, d) for lab, v in y.items()}
+    g = math.gcd(d, *y.values())
+    return d // g, {lab: v // g for lab, v in y.items()}
 
 
 def is_separated_solution(sol):

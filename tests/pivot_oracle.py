@@ -169,15 +169,15 @@ def check_det_invariance(T):
     )
 
 
-def width(sol):
-    """The lcm of the value denominators."""
-    return functools.reduce(math.lcm, (v.denominator for v in sol.values.values()), 1)
+def width(values):
+    """The lcm of the denominators of values, {label: Fraction}."""
+    return functools.reduce(math.lcm, (v.denominator for v in values.values()), 1)
 
 
-def near_values(sol):
-    """(n, {label: int(n * value)}), n the width."""
-    n = width(sol)
-    return n, {lab: int(n * v) for lab, v in sol.values.items()}
+def near_values(values):
+    """(n, {label: int(n * value)}), n the width of values, {label: Fraction}."""
+    n = width(values)
+    return n, {lab: int(n * v) for lab, v in values.items()}
 
 
 def normalize_homotopy(hom, T, base):

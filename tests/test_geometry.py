@@ -126,17 +126,25 @@ class TestDissect:
 
 
 class TestExtract:
-    def test_round_trip_all_separated_pivots(self, spherical_corpus):
+    def test_round_trip_all_separated_pivots(self, spherical_corpus, connected_sums):
+        # a connected sum is glued without geometry; from each pivot whose solution
+        # and dissection are separated, its triangles extract back to the sum
         from bitrades.solver import is_separated_solution
 
-        for T in spherical_corpus.values():
+        sums = [T for T, _ in connected_sums]
+        round_trips = 0
+        for T in [*spherical_corpus.values(), *sums]:
             for pivot in T.star:
                 sol = solve_pointed(PointedBitrade(T, pivot))
                 if not is_separated_solution(sol)[0]:
                     continue
-                tris, _ = dissect(sol)
+                tris, report = dissect(sol)
+                if not report.is_separated_dissection:
+                    continue
                 back = extract_bitrade([t.lines for t in tris])
                 assert is_isotopic(back.bitrade, T) is not None
+                round_trips += T in sums
+        assert round_trips
 
     def test_nested_fixture(self, nested):
         T = nested.bitrade

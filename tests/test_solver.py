@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import gc
+import io
 import operator
 import os
 import subprocess
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 
 import bitrades
 import pivot_oracle
-from bitrades import corpus, solver
+from bitrades import cli, corpus, solver
 from bitrades.core import COL, ROW, SYM, InternalCheckFailed, build_bitrade
 from bitrades.exact import smith_normal_form
 from bitrades.groups import presentation
@@ -231,12 +233,13 @@ class TestSolutionMemo:
     """solve_pointed keeps each pivot's checked answer on its bitrade."""
 
     @pytest.fixture
-    def instances(self, spherical_corpus, seeded_spherical, toroidal, toroidal_swapped):
+    def instances(self, spherical_corpus, seeded_spherical, toroidal, toroidal_swapped,
+                  connected_sums):
         cayley = [cayley_bitrade(n, k, [[f"{x}{i}" for i in range(n)] for x in "rcs"],
                                  [range(n)] * 3)
                   for n in range(2, 6) for k in range(1, n)]
         return [*spherical_corpus.values(), *seeded_spherical, toroidal, toroidal_swapped,
-                *cayley]
+                *cayley, *(T for T, _ in connected_sums)]
 
     def test_memoised_answers_match_oracle_and_fresh_bitrade(self, instances):
         singular = 0
@@ -319,6 +322,8 @@ class TestSolutionMemo:
                     assert sol.values == expected
                     sol.values[pivot.sym] += 1
                     sol.values.pop(pivot.row)
+                    sol.scaled[1][pivot.sym] += 1
+                    sol.scaled[1].pop(pivot.col)
 
     def test_solved_bitrade_freed_without_the_cycle_collector(
             self, spherical_corpus, seeded_spherical, toroidal, toroidal_swapped):
@@ -408,25 +413,33 @@ class TestHomotopy:
 
 
 class TestScaledView:
-    """Solution.scaled against the width and the scaled values computed
-    from the Fraction values (pivot_oracle)."""
+    """Solution.scaled, and the values built from it, against the Fraction
+    values of the rational oracle (pivot_oracle.solve_pointed)."""
 
-    def solutions(self, spherical_corpus, seeded_spherical, toroidal_swapped):
-        for T in [*spherical_corpus.values(), *seeded_spherical]:
+    def pivots(self, spherical_corpus, seeded_spherical, toroidal_swapped, connected_sums):
+        for T in [*spherical_corpus.values(), *seeded_spherical,
+                  *(T for T, _ in connected_sums)]:
             for pivot in T.star:
-                yield solve_pointed(PointedBitrade(T, pivot))
+                yield T, pivot
         for names in (("e", "d", "1"), ("y", "d", "5"), ("y", "f", "1")):
-            yield solve(toroidal_swapped, *names)
+            yield toroidal_swapped, triple_by_names(toroidal_swapped, *names)
 
-    def test_width_and_near_values(self, spherical_corpus, seeded_spherical, toroidal_swapped):
+    def test_width_and_near_values(self, spherical_corpus, seeded_spherical, toroidal_swapped,
+                                   connected_sums):
         count = 0
-        for sol in self.solutions(spherical_corpus, seeded_spherical, toroidal_swapped):
-            n, near = pivot_oracle.near_values(sol)
-            assert sol.width() == pivot_oracle.width(sol) == n
+        for T, pivot in self.pivots(spherical_corpus, seeded_spherical, toroidal_swapped,
+                                    connected_sums):
+            expected = pivot_oracle.solve_pointed(T, pivot)[3]
+            n, near = pivot_oracle.near_values(expected)
+            sol = solve_pointed(PointedBitrade(T, pivot))
+            assert sol.width() == pivot_oracle.width(expected) == n
             assert near_values(sol) == (n, near) == sol.scaled
             assert induced_homotopy(sol).maps == {lab: v % n for lab, v in near.items()}
+            assert sol.values == expected
+            assert sol.values is sol.values  # built once, on the first read
             count += 1
-        assert count == 4 + 12 + 7 + sum(T.size for T in seeded_spherical) + 3
+        assert count == (4 + 12 + 7 + sum(T.size for T in seeded_spherical)
+                         + sum(T.size for T, _ in connected_sums) + 3)
 
     def test_two_argument_solution(self, ex45):
         sol = solve(ex45, "r0", "c0", "s4")
@@ -434,9 +447,28 @@ class TestScaledView:
         lab = next(lab for lab, v in values.items() if 0 < v < 1)
         values[lab] += Fraction(1, 1024)
         edited = solver.Solution(sol.pointed, values)
-        assert edited.scaled == pivot_oracle.near_values(edited)
+        assert edited.values is values
+        assert edited.scaled == pivot_oracle.near_values(values)
         assert edited.width() == 14 * 512
-        assert sol.scaled == pivot_oracle.near_values(sol)  # the original's view is its own
+        expected = pivot_oracle.solve_pointed(ex45, sol.pivot)[3]
+        assert sol.scaled == pivot_oracle.near_values(expected)  # the original's view is its own
+
+    def test_report_builds_no_fraction(self, corpus_dir, ex45, monkeypatch):
+        # report reads each pivot's width and scaled values, never its Fractions
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(solver, "Fraction", counting)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["report", str(corpus_dir)]) == 0
+        assert ",ok," in out.getvalue() and built == []
+        sol = solve(fresh(ex45), "r0", "c0", "s4")
+        assert built == []
+        assert sol.values[sol.pivot.sym] == 1 and len(built) == len(sol.scaled[1])
 
 
 def test_internal_check_survives_optimize_flag():

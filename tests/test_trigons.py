@@ -213,7 +213,7 @@ class TestSeparate:
             depths.add(depth)
         assert depths == {1}
 
-    def test_one_split_per_level(self, nested, seeded_spherical, monkeypatch):
+    def test_one_split_per_level(self, nested, seeded_spherical, connected_sums, monkeypatch):
         """Every separation splits once per recursion level, locating the
         trigon builds no bitrade, and each split leaves a strictly smaller
         outer part of at least 4 star triples, so depth <= size - 4."""
@@ -240,7 +240,7 @@ class TestSeparate:
 
         monkeypatch.setattr(trigons, "_locate_trigon", locate_building_nothing)
         depths = []
-        for T in [nested.bitrade, *seeded_spherical]:
+        for T in [nested.bitrade, *seeded_spherical, *(T for T, _ in connected_sums)]:
             for a in T.star:
                 for i in range(3):
                     for y in T.universe(i):
