@@ -14,14 +14,14 @@ pivot is a unit, and this is the Tietze reduction of the presentation
 of G(T).  ``_dense_smith``, the dense loop, then runs only on the block
 of rows and columns left over, which holds no unit.  The units come
 first on the diagonal, and the two phases' transforms are composed into
-one U, V and V_inv.  The certificate is unchanged in what it proves: on
-every call, that M and its diagonal D have isomorphic cokernels through
-x -> x V, by V V_inv = I, U (M V) = D, every column of M V a multiple
-of its d_k, and the divisibility chain.  It forms its products over
-the nonzeros of each row.  ``solver`` computes the Smith form of a
-bitrade's relation matrix once and keeps it on the bitrade; the pointed
-solves, G(T), H(T), the canonical images, the rank of B and the
-deleted-column minors are read from it.
+one U and V.  The certificate proves on every call that M and its
+diagonal D have isomorphic cokernels through x -> x V: V unimodular,
+by its block-triangular shape in pivot order, U (M V) = D, every column
+of M V a multiple of its d_k, and the divisibility chain.  It forms its
+products over the nonzeros of each row.  ``solver`` computes the Smith
+form of a bitrade's relation matrix once and keeps it on the bitrade;
+the pointed solves, G(T), H(T), the canonical images, the rank of B and
+the deleted-column minors are read from it.
 """
 
 from __future__ import annotations
@@ -41,19 +41,18 @@ def identity(n):
 class SmithForm:
     """U @ M @ V = D with D = diag(d_1 | d_2 | ...), certified for cokernels.
 
-    What ``smith_normal_form`` proves on every call: V V_inv = I, so V
-    is unimodular and V_inv is its inverse; U M V = D; every column k of
-    M V is a multiple of d_k, and 0 where d_k = 0 or k >= len(diagonal);
-    and d_k | d_{k+1}.  Hence rowlattice(M V) = rowlattice(D), and
-    x -> x V maps Z^m / rowlattice(M) onto Z^m / rowlattice(D).  U is
-    unimodular by construction, a product of elementary row operations,
-    but that is not re-proven at run time.
+    What ``smith_normal_form`` proves on every call: V is unimodular;
+    U M V = D; every column k of M V is a multiple of d_k, and 0 where
+    d_k = 0 or k >= len(diagonal); and d_k | d_{k+1}.  Hence
+    rowlattice(M V) = rowlattice(D), and x -> x V maps Z^m /
+    rowlattice(M) onto Z^m / rowlattice(D).  U is unimodular by
+    construction, a product of elementary row operations, but that is
+    not re-proven at run time.
     """
 
     diagonal: list  # length min(rows, cols), d_k >= 0, d_k | d_{k+1}
     U: list
     V: list
-    V_inv: list
 
     @property
     def rank(self):
@@ -65,17 +64,16 @@ class SmithForm:
 
 
 def smith_normal_form(M):
-    """Smith normal form of an integer matrix, with its transforms and V's inverse.
+    """Smith normal form of an integer matrix, with its transforms U and V.
 
     Two phases.  ``_unit_reduce`` first eliminates the unit pivots
     sparsely, least Markowitz cost first; each becomes a 1 on the
     diagonal.  ``_dense_smith`` then reduces the block of rows and
     columns left over, which holds no unit.  Both phases' transforms
-    are composed into one U, V and V_inv, the units first on the
-    diagonal, so the divisibility chain holds.  Every returned form has
-    passed ``_certify``, the check of ``_verify_smith`` on the sparse
-    rows that the dense matrices returned are written out from; the
-    SmithForm docstring says what that proves.
+    are composed into one U and V, the units first on the diagonal, so
+    the divisibility chain holds.  Every returned form has passed
+    ``_certify`` on the sparse rows that the dense matrices returned are
+    written out from; the SmithForm docstring says what that proves.
     """
     n = len(M)
     m = len(M[0]) if n else 0
@@ -83,31 +81,27 @@ def smith_normal_form(M):
     pivots, rows, cols, block = _unit_reduce(M, m)
     U = [{i: 1} for i in range(n)]
     V_cols = [{j: 1} for j in range(m)]  # V by columns, which the column operations add
-    V_inv = [{j: 1} for j in range(m)]
     for i, j, _, row_ops, col_ops in pivots:
         for k, q in row_ops:
             _add_to(U[k], U[i], q)
         for l, q in col_ops:
             _add_to(V_cols[l], V_cols[j], q)
-            _add_to(V_inv[j], V_inv[l], -q)
     block_diagonal, bU, bV, bV_inv = _dense_smith(block, len(cols))
-    # U' P U, V Q V' and V'^-1 Q^T V^-1, with P and Q putting the pivots first
+    # U' P U and V Q V', with P and Q putting the pivots first
     U_kept = [U[i] for i in rows]
     U = [{k: s * x for k, x in U[i].items()} for i, _, s, _, _ in pivots]
     U += [_row_times(coeffs, U_kept) for coeffs in _sparse(bU)]
     V_kept = [V_cols[j] for j in cols]
-    V_cols = [V_cols[j] for _, j, _, _, _ in pivots]
+    order = [j for _, j, _, _, _ in pivots] + cols
+    V_cols = [V_cols[j] for j in order[:len(pivots)]]
     V_cols += [_row_times(coeffs, V_kept) for coeffs in _sparse(zip(*bV))]
-    V_inv_kept = [V_inv[j] for j in cols]
-    V_inv = [V_inv[j] for _, j, _, _, _ in pivots]
-    V_inv += [_row_times(coeffs, V_inv_kept) for coeffs in _sparse(bV_inv)]
     V = [{} for _ in range(m)]
     for k, col in enumerate(V_cols):
         for i, x in col.items():
             V[i][k] = x
     diagonal = [1] * len(pivots) + block_diagonal
-    _certify(M, diagonal, U, V, V_inv)
-    return SmithForm(diagonal, _dense(U, n), _dense(V, m), _dense(V_inv, m))
+    _certify(M, diagonal, U, V, order, _sparse(bV_inv))
+    return SmithForm(diagonal, _dense(U, n), _dense(V, m))
 
 
 def _add_to(dst, src, q):
@@ -235,9 +229,9 @@ def _dense_smith(M, m):
     """(diagonal, U, V, V_inv) of U M V = D for a dense n x m block, unverified.
 
     Every elementary column operation applied to V is undone on the rows
-    of V_inv, so the inverse costs no elimination.  The pivot is the
-    first entry of least absolute value; a unit pivot ends the scan and
-    needs no divisibility pass.
+    of V_inv, so the inverse that ``_certify`` reads costs no elimination.
+    The pivot is the first entry of least absolute value; a unit pivot
+    ends the scan and needs no divisibility pass.
     """
     n = len(M)
     A = [[int(x) for x in row] for row in M]
@@ -328,36 +322,34 @@ def _dense_smith(M, m):
     return diagonal, U, V, V_inv
 
 
-def _verify_smith(M, diagonal, U, V, V_inv):
+def _certify(M, diagonal, U, V, order, V_inv):
     """Certify rowlattice(M V) = rowlattice(D), V unimodular, and the chain.
 
-    V V_inv = I proves V unimodular.  U (M V) = D, row by row, puts each
-    row of D in rowlattice(M V); every column k of M V divisible by d_k
-    (0 where d_k = 0 or past the diagonal) puts each row of M V in
-    rowlattice(D).  The matrices are dense; ``_certify`` checks their
-    nonzeros.
+    Rows are given as {index: nonzero value}, so zeros cost nothing.
+    order lists V's rows in pivot order, the p unit pivots' columns and
+    then the columns left over; V_inv is ``_dense_smith``'s inverse of
+    its block, p = len(V) - len(V_inv).  In that order V must be
+    [[T, X], [0, V']] with T unit upper triangular, as phase 1 only adds
+    a pivot column to columns not yet pivoted; then V' V_inv = I, both
+    integral, proves |det V| = |det V'| = 1.  U (M V) = D, row by row, puts each row of D
+    in rowlattice(M V); every column k of M V divisible by d_k (0 where
+    d_k = 0 or past the diagonal) puts each row of M V in rowlattice(D).
     """
-    _certify(_sparse(M), diagonal, _sparse(U), _sparse(V), _sparse(V_inv))
-
-
-def _certify(M, diagonal, U, V, V_inv):
-    """``_verify_smith`` on rows given as {index: nonzero value}.
-
-    Every product is formed over the nonzeros of each row, so zeros cost
-    nothing.  Once V V_inv = I holds, U (M V) = D is equivalent to
-    U M = D V_inv, which is checked instead: the rows of M are sparser
-    than those of M V, and D V_inv needs no product.
-    """
-    for i, Vi in enumerate(V):
-        if _row_times(Vi, V_inv) != {i: 1}:
-            raise InternalCheckFailed("smith normal form transform V is not unimodular")
-    diag = diagonal + [0] * (len(V) - len(diagonal))
+    p = len(V) - len(V_inv)
+    if (sorted(order) != list(range(len(V)))
+            or any(V[r].get(k) != 1 or min(V[r]) < k for k, r in enumerate(order[:p]))
+            or any(min(V[r], default=p) < p
+                   or _row_times({l - p: x for l, x in V[r].items()}, V_inv) != {k: 1}
+                   for k, r in enumerate(order[p:]))):
+        raise InternalCheckFailed("smith normal form transform V is not unimodular")
+    MV = [_row_times(Mi, V) for Mi in M]
     for i, Ui in enumerate(U):
-        d = diag[i] if i < len(diagonal) else 0
-        if _row_times(Ui, M) != ({k: d * x for k, x in V_inv[i].items()} if d else {}):
+        d = diagonal[i] if i < len(diagonal) else 0
+        if _row_times(Ui, MV) != ({i: d} if d else {}):
             raise InternalCheckFailed("smith normal form verification failed: U M V != D")
-    for Mi in M:
-        if any(x % diag[k] if diag[k] else x for k, x in _row_times(Mi, V).items()):
+    diag = diagonal + [0] * (len(V) - len(diagonal))
+    for row in MV:
+        if any(x % diag[k] if diag[k] else x for k, x in row.items()):
             raise InternalCheckFailed(
                 "smith normal form verification failed: M V is not in the row lattice of D")
     for a, b in zip(diagonal, diagonal[1:]):

@@ -163,10 +163,10 @@ def check_det_invariance(T):
 
     Proof: the certificate gives B V = [W | 0], W of size s x s, with
     rowlattice(W) = rowlattice(diag(d)), so |det W| = d_1 ... d_s; and it
-    gives V V_inv = I, so |det V| = 1.  Then B = W V_inv[:s], and deleting
-    columns n1, n2 of B deletes them from V_inv[:s].  By Jacobi's
-    complementary-minor identity, that s x s minor of V_inv is, up to
-    sign, det V_inv times the 2 x 2 minor of V on the complementary rows
+    proves V invertible over Z, so |det V| = 1.  Then B = W V^-1[:s], and
+    deleting columns n1, n2 of B deletes them from V^-1[:s].  By Jacobi's
+    complementary-minor identity, that s x s minor of V^-1 is, up to
+    sign, det V^-1 times the 2 x 2 minor of V on the complementary rows
     n1, n2 and columns s, s + 1.
 
     The common value is |H(T)| when rank B = s, that is when G has free

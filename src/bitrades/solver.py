@@ -163,7 +163,7 @@ def _solve(T, a):
 
     With r = rank B and x = V z, B x = -e_a is D z = -U e_a.  It is inconsistent iff
     U[k][i] != 0 for some k >= r, i the pivot's row of B: row k of U is then a y with
-    y B = 0 (the certificate proved U B = D V_inv, and row k of D is 0) and y e_a != 0.
+    y B = 0 (row k of U B V = D is 0, and V is invertible over Z) and y e_a != 0.
     Otherwise, with d = d_r > 0, the largest nonzero d_k, which every d_k divides,
     z_k = -U[k][i] d / d_k (k < r) gives x = V z, d times a solution; only the k
     with U[k][i] != 0 contribute.  The checks run on these integers, and dividing

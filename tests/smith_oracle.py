@@ -1,10 +1,11 @@
-"""The dense-only Smith normal form, and H(T) by two more Smith forms, kept as oracles.
+"""The dense-only Smith normal form, its dense certificate, and H(T) by two more Smith forms.
 
 ``smith_normal_form`` here is the library's form before the sparse
 unit-pivot phase: it treats M as dense, rescanning the trailing block
-for every pivot and updating dense rows of U, V and V_inv.  Its result
-passes the library's ``_verify_smith`` certificate.  The Smith form's
-diagonal is unique, so the library's must equal this one's.
+for every pivot and updating dense rows of U and V.  Its result passes
+``_verify_smith``, the dense certificate of any (M, diagonal, U, V).
+The Smith form's diagonal is unique, so the library's must equal this
+one's.
 
 ``subgroup_H`` is the library's H(T) before it was read off G(T) =
 H(T) + Z^2: it presents H in G's Smith coordinates through the Smith
@@ -15,24 +16,52 @@ the dense ones, and checks the lattice division on the way.
 from __future__ import annotations
 
 from bitrades.core import COL, ROW, InternalCheckFailed
-from bitrades.exact import SmithForm, _verify_smith, identity
+from bitrades.exact import SmithForm, identity
 from bitrades.groups import AbelianGroupStructure, canonical_images, presentation
+from rational_oracle import invert_unimodular, mat_mul
+
+
+def _verify_smith(M, diagonal, U, V):
+    """Certify rowlattice(M V) = rowlattice(D), V unimodular, and the chain, densely.
+
+    The library proves V unimodular from its shape in the pivot order of
+    its own elimination; here any V is, by an exact rational inverse that
+    must be integral.  U (M V) = D puts each row of D in rowlattice(M V);
+    every column k of M V divisible by d_k (0 where d_k = 0 or past the
+    diagonal) puts each row of M V in rowlattice(D).  Each failure raises
+    the library's message.
+    """
+    try:
+        invert_unimodular(V)
+    except ValueError:
+        raise InternalCheckFailed("smith normal form transform V is not unimodular") from None
+    MV = mat_mul(M, V)
+    D = [[d if k == i else 0 for k in range(len(V))] for i, d in enumerate(diagonal)]
+    D += [[0] * len(V) for _ in range(len(U) - len(diagonal))]
+    if mat_mul(U, MV) != D:
+        raise InternalCheckFailed("smith normal form verification failed: U M V != D")
+    diag = diagonal + [0] * (len(V) - len(diagonal))
+    if any(x % d if d else x for row in MV for x, d in zip(row, diag)):
+        raise InternalCheckFailed(
+            "smith normal form verification failed: M V is not in the row lattice of D")
+    for a, b in zip(diagonal, diagonal[1:]):
+        if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
+            raise InternalCheckFailed("smith normal form divisibility chain broken")
 
 
 def smith_normal_form(M):
-    """Smith normal form of an integer matrix, with its transforms and V's inverse.
+    """Smith normal form of an integer matrix, with its transforms U and V.
 
-    Every elementary column operation applied to V is undone on the rows
-    of V_inv, so the inverse costs no elimination.  The pivot is the
-    first entry of least absolute value; a unit pivot ends the scan and
-    needs no divisibility pass.  Every returned form has passed
-    ``_verify_smith``; the SmithForm docstring says what that proves.
+    The pivot is the first entry of least absolute value; a unit pivot
+    ends the scan and needs no divisibility pass.  Every returned form
+    has passed ``_verify_smith``; the SmithForm docstring says what that
+    proves.
     """
     n = len(M)
     m = len(M[0]) if n else 0
     A = [[int(x) for x in row] for row in M]
     U = identity(n)
-    V, V_inv = identity(m), identity(m)
+    V = identity(m)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -43,7 +72,6 @@ def smith_normal_form(M):
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
-        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
 
     def add_row(dst, src, q):
         A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
@@ -54,7 +82,6 @@ def smith_normal_form(M):
             row[dst] += q * row[src]
         for row in V:
             row[dst] += q * row[src]
-        V_inv[src] = [x - q * y for x, y in zip(V_inv[src], V_inv[dst])]
 
     def negate_row(i):
         A[i] = [-x for x in A[i]]
@@ -115,8 +142,8 @@ def smith_normal_form(M):
         t += 1
 
     diagonal = [A[k][k] for k in range(min(n, m))]
-    _verify_smith(M, diagonal, U, V, V_inv)
-    return SmithForm(diagonal, U, V, V_inv)
+    _verify_smith(M, diagonal, U, V)
+    return SmithForm(diagonal, U, V)
 
 
 def subgroup_H(T):

@@ -5,10 +5,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rational_oracle
+from bitrades import corpus, exact
 from bitrades.core import InternalCheckFailed
-from bitrades.exact import _verify_smith, identity, smith_normal_form
+from bitrades.exact import identity, smith_normal_form
+from bitrades.solver import relation_matrix
 from pivot_oracle import _integer_row, determinant, eliminate, rank
 from rational_oracle import invert_unimodular, mat_mul, transpose
+from smith_oracle import _verify_smith
 
 
 def cofactor_det(A):
@@ -229,45 +232,29 @@ class TestSmithNormalForm:
         snf = smith_normal_form([[6, 10], [15, 4]])
         for M in (snf.U, snf.V):
             assert mat_mul(M, invert_unimodular(M)) == identity(len(M))
-        assert snf.V_inv == invert_unimodular(snf.V)
 
     @given(st.integers(1, 5), st.integers(1, 5), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_carried_inverses_match_oracle(self, n, m, data):
-        snf = smith_normal_form(data.draw(matrices(n, m, st.integers(-9, 9))))
+    def test_transforms_are_unimodular(self, n, m, data):
+        M = data.draw(matrices(n, m, st.integers(-9, 9)))
+        snf = smith_normal_form(M)
         invert_unimodular(snf.U)
-        assert snf.V_inv == invert_unimodular(snf.V)
+        _verify_smith(M, snf.diagonal, snf.U, snf.V)  # V by its rational inverse
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(-3, 3).filter(bool), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_rejects_corrupted_inverse(self, n, m, delta, data):
-        M = data.draw(matrices(n, m, st.integers(-9, 9)))
-        snf = smith_normal_form(M)
-        V_inv = [row[:] for row in snf.V_inv]
-        i = data.draw(st.integers(0, m - 1))
-        j = data.draw(st.integers(0, m - 1))
-        V_inv[i][j] += delta
-        with pytest.raises(AssertionError, match="not unimodular"):
-            _verify_smith(M, snf.diagonal, snf.U, snf.V, V_inv)
-
-    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(),
-           st.integers(-3, 3).filter(bool), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_rejects_corrupted_transform(self, n, m, corrupt_u, delta, data):
+    def test_rejects_corrupted_transform(self, n, m, delta, data):
         # a change of U_ij adds delta (M V)_j to row i of U M V, and
         # (M V)_j = 0 exactly when row j of M is 0
         M = data.draw(matrices(n, m, st.integers(-9, 9)))
         snf = smith_normal_form(M)
-        transforms = [[row[:] for row in snf.U], [row[:] for row in snf.V]]
-        target = transforms[0 if corrupt_u else 1]
-        i = data.draw(st.integers(0, len(target) - 1))
-        j = data.draw(st.integers(0, len(target) - 1))
-        if corrupt_u:
-            assume(any(M[j]))
-        target[i][j] += delta
-        message = "U M V != D" if corrupt_u else "not unimodular"
-        with pytest.raises(InternalCheckFailed, match=message):
-            _verify_smith(M, snf.diagonal, *transforms, snf.V_inv)
+        U = [row[:] for row in snf.U]
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        assume(any(M[j]))
+        U[i][j] += delta
+        with pytest.raises(InternalCheckFailed, match="U M V != D"):
+            _verify_smith(M, snf.diagonal, U, snf.V)
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 5), st.data())
     @settings(max_examples=80, deadline=None)
@@ -284,13 +271,117 @@ class TestSmithNormalForm:
         diagonal = snf.diagonal[:]
         diagonal[k] *= c
         with pytest.raises(InternalCheckFailed, match="not in the row lattice of D"):
-            _verify_smith(M, diagonal, U, snf.V, snf.V_inv)
+            _verify_smith(M, diagonal, U, snf.V)
 
     def test_failure_is_an_internal_check(self):
         M = [[2, 4], [6, 8]]
         snf = smith_normal_form(M)
         with pytest.raises(InternalCheckFailed, match="U M V != D"):
-            _verify_smith(M, [2 * d for d in snf.diagonal], snf.U, snf.V, snf.V_inv)
+            _verify_smith(M, [2 * d for d in snf.diagonal], snf.U, snf.V)
+        with pytest.raises(InternalCheckFailed, match="not unimodular"):
+            _verify_smith(M, snf.diagonal, snf.U, [[2 * x for x in row] for row in snf.V])
+
+
+def _swapped(rows, a, b):
+    rows = list(rows)
+    rows[a], rows[b] = rows[b], rows[a]
+    return rows
+
+
+def _double_block_column(diagonal, U, V, V_inv):
+    # V' with its first column doubled, of determinant 2 det V', beside the
+    # inverse carried for the old V'
+    return diagonal, U, [[2 * row[0], *row[1:]] for row in V], V_inv
+
+
+def _double_diagonal(diagonal, U, V, V_inv):
+    return [2 * d for d in diagonal], U, V, V_inv
+
+
+def _scale_last_nonzero(diagonal, U, V, V_inv):
+    # as in test_rejects_scaled_diagonal_entry: U M V = D and the chain hold
+    k = max(k for k, d in enumerate(diagonal) if d)
+    return ([3 * d if i == k else d for i, d in enumerate(diagonal)],
+            [[3 * x for x in row] if i == k else row for i, row in enumerate(U)], V, V_inv)
+
+
+def _swap_first_and_last(diagonal, U, V, V_inv):
+    # P D P for the swap P, with U -> P U, V -> V P and V_inv -> P V_inv: still
+    # U M V = D with V unimodular, but the diagonal is out of its chain order
+    k = len(diagonal) - 1
+    return (_swapped(diagonal, 0, k), _swapped(U, 0, k),
+            [_swapped(row, 0, k) for row in V], _swapped(V_inv, 0, k))
+
+
+def _add_to_an_earlier_pivot(pivots):
+    # column j_1 += column j_p: V is still unimodular, but not of the shape
+    # [[T, X], [0, V']] that proves it
+    pivots[-1][4].append((pivots[0][1], 1))
+
+
+def _double_a_pivot_column(pivots):
+    # column j_p += column j_p: T gets a 2 on its diagonal, and det V = +-2
+    pivots[-1][4].append((pivots[-1][1], 1))
+
+
+class TestLibraryCertificate:
+    """Faults injected into smith_normal_form's own phases trip its certificate.
+
+    Each check is an explicit raise, so these hold under ``python -O``.
+    """
+
+    # each B has 3 to 15 unit pivots; the toroidal ones and the unit-free
+    # matrix leave a dense block whose diagonal has a nonzero entry and
+    # different first and last entries
+    Bs = [relation_matrix(T)[0] for T in (corpus.toroidal(), corpus.toroidal_swapped(),
+                                           corpus.example_4x5(), corpus.intercalate())]
+    with_blocks = [[[2, 4, 4], [-6, 6, 12], [10, 4, 16]], *Bs[:2]]
+
+    @pytest.mark.parametrize("fault, message", [
+        (_double_block_column, "transform V is not unimodular"),
+        (_double_diagonal, "U M V != D"),
+        (_scale_last_nonzero, "not in the row lattice of D"),
+        (_swap_first_and_last, "divisibility chain broken"),
+    ])
+    def test_rejects_faulty_dense_block(self, monkeypatch, fault, message):
+        dense_smith = exact._dense_smith
+        monkeypatch.setattr(exact, "_dense_smith", lambda M, m: fault(*dense_smith(M, m)))
+        for M in self.with_blocks:
+            with pytest.raises(InternalCheckFailed, match=message):
+                smith_normal_form(M)
+
+    @pytest.mark.parametrize("fault", [_add_to_an_earlier_pivot, _double_a_pivot_column])
+    def test_rejects_broken_pivot_order_shape(self, monkeypatch, fault):
+        unit_reduce = exact._unit_reduce
+
+        def faulty(M, m):
+            pivots, rows, cols, block = unit_reduce(M, m)
+            fault(pivots)
+            return pivots, rows, cols, block
+
+        monkeypatch.setattr(exact, "_unit_reduce", faulty)
+        for B in self.Bs:
+            with pytest.raises(InternalCheckFailed, match="transform V is not unimodular"):
+                smith_normal_form(B)
+
+    @pytest.mark.parametrize("M, diagonal, V, order, V_inv", [
+        # V's one row left out of the pivot order
+        ([[2]], [4], [[2]], [], []),
+        # T = V, with 1s on its diagonal, not upper triangular
+        ([[-1, 3], [1, -1]], [2, 2], [[1, 3], [1, 1]], [0, 1], []),
+        # a -1 left of V' = [2]; with it read as V's column -1, V_inv[-1]
+        # would wrap round and make V' V_inv look like I
+        ([[1, 0], [1, 1]], [1, 2], [[1, 0], [-1, 2]], [0, 1], [[1]]),
+    ], ids=["row_not_in_order", "T_not_triangular", "nonzero_left_of_block"])
+    def test_rejects_a_false_shape(self, M, diagonal, V, order, V_inv):
+        # |det V| = 2 and M V = D, so with U = I every other check passes, on
+        # diagonals that are not M's Smith forms
+        assert mat_mul(M, V) == [[d if i == k else 0 for k in range(len(V))]
+                                 for i, d in enumerate(diagonal)]
+        sparse = exact._sparse
+        with pytest.raises(InternalCheckFailed, match="transform V is not unimodular"):
+            exact._certify(sparse(M), diagonal, sparse(identity(len(M))), sparse(V), order,
+                           sparse(V_inv))
 
 
 class TestInvertUnimodular:

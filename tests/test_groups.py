@@ -23,7 +23,7 @@ from bitrades.core import (
     build_bitrade,
     metrics,
 )
-from bitrades.exact import SmithForm, _verify_smith, smith_normal_form
+from bitrades.exact import SmithForm, smith_normal_form
 from bitrades.groups import (
     canonical_images,
     check_det_invariance,
@@ -300,22 +300,18 @@ class TestDetInvariance:
 
     def test_minors_do_not_depend_on_the_kernel_basis(self, spherical_corpus,
                                                       seeded_spherical):
-        # V's last two columns are a basis of ker B; times G = [[1, 1], [2, 3]]
-        # (and V_inv's last two rows times G^-1 = [[3, -1], [-2, 1]]) the form
-        # still certifies, and every minor must come out the same.  The library's
-        # kernel columns here are k2 - k1 and k1, which make one product of each
-        # 2 x 2 minor 0; after G neither is
+        # V's last two columns are a basis of ker B; times G = [[1, 1], [2, 3]],
+        # of determinant 1, the form still certifies, and every minor must come
+        # out the same.  The library's kernel columns here are k2 - k1 and k1,
+        # which make one product of each 2 x 2 minor 0; after G neither is
         for T in [*spherical_corpus.values(), *seeded_spherical]:
             S = build_bitrade(T.star, T.delta)
             labels, form = solver._relation_smith(S)
             s = S.size
             V = [row[:s] + [row[s] + 2 * row[s + 1], row[s] + 3 * row[s + 1]]
                  for row in form.V]
-            V_inv = form.V_inv[:s] + [
-                [3 * x - y for x, y in zip(form.V_inv[s], form.V_inv[s + 1])],
-                [y - 2 * x for x, y in zip(form.V_inv[s], form.V_inv[s + 1])]]
-            _verify_smith(relation_matrix(S)[0], form.diagonal, form.U, V, V_inv)
-            S._relation_smith = labels, SmithForm(form.diagonal, form.U, V, V_inv)
+            smith_oracle._verify_smith(relation_matrix(S)[0], form.diagonal, form.U, V)
+            S._relation_smith = labels, SmithForm(form.diagonal, form.U, V)
             assert check_det_invariance(S) == pivot_oracle.check_det_invariance(T)
 
     def test_non_spherical_rejected(self, toroidal):
