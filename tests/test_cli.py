@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -263,8 +264,34 @@ class TestReport:
                 assert (row["status"], row["width"]) == ("ok", str(sol.width()))
 
     def test_one_job_by_default(self):
-        # the per-file work holds the GIL, so more threads only add overhead
+        # --jobs is still parsed and checked, though it no longer changes anything
         assert cli.build_parser().parse_args(["report", "d"]).jobs == 1
+
+    def test_files_are_analysed_in_the_calling_thread(self, corpus_dir, capsys,
+                                                      monkeypatch):
+        # the per-file work holds the GIL, so a thread pool only adds its hand-off
+        pools = []
+
+        def no_pool(*args, **kwargs):
+            pools.append(args or kwargs)
+            raise RuntimeError("report must start no thread pool")
+
+        report_file = cli._report_file
+        analysed = []
+
+        def recording(path):
+            analysed.append((path.name, threading.get_ident()))
+            return report_file(path)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_report_file", recording)
+        here = threading.get_ident()
+        names = sorted(path.name for path in corpus_dir.glob("*.json"))
+        for jobs in ([], ["--jobs", "1"], ["--jobs", "4"]):
+            analysed.clear()
+            code, _, _ = run(capsys, "report", str(corpus_dir), *jobs)
+            assert (code, pools) == (0, [])
+            assert analysed == [(name, here) for name in names]
 
     def test_deterministic(self, corpus_dir, capsys):
         code1, out1, _ = run(capsys, "report", str(corpus_dir), "--jobs", "1")

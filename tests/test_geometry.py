@@ -1,7 +1,9 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import geometry_oracle
 import pivot_oracle
+from bitrades import jsonio
 from bitrades.core import BitradeError, InternalCheckFailed
 from bitrades.geometry import (
     NotSeparatedSolution,
@@ -172,6 +175,21 @@ class TestSvg:
         assert svg.startswith("<svg")
         assert svg.count("<polygon") == 5  # outline + 4 triangles
         assert svg.count("<text") == 4
+
+    def test_label_names_are_escaped(self, intercalate):
+        # names come from the input file, so they may hold XML's special characters
+        names = {"r0": "r<0", "c0": "c&0", "s0": 's"0', "s1": "s>1"}
+        text = jsonio.dumps(intercalate)
+        for old, new in names.items():
+            text = text.replace(json.dumps(old), json.dumps(new))
+        T = jsonio.loads(text)
+        sol = solve(T, "r<0", "c&0", 's"0')
+        svg = to_svg(sol, labels=True)
+        assert svg == geometry_oracle.to_svg(sol, labels=True)
+        root = ElementTree.fromstring(svg)
+        texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == [",".join(q.names()) for q in sorted(T.delta)]
+        assert {"r<0,c&0,s>1", 'r<0,c1,s"0'} <= set(texts)
 
     def test_significant_digits(self, ex45):
         sol = solve(ex45, "r0", "c0", "s4")
