@@ -48,7 +48,7 @@ def cmd_validate(args):
     T = jsonio.load(args.file)
     met = core.metrics(T)
     info = met.as_dict()
-    info["indecomposable"] = core.is_indecomposable(T)
+    info["indecomposable"] = T.indecomposable
     if met.separated:
         info["trigons"] = len(trigons.find_trigons(T))
     if args.json:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -86,12 +87,13 @@ class Triple(tuple):
 class Bitrade:
     """A validated latin bitrade with pair-lookup indexes.
 
-    Immutable after construction; use :func:`build_bitrade`.  Two derived
-    values are kept on it, each computed on first use, both by ``solver``:
-    the certified Smith form of its relation matrix, the one factorisation
-    of B that every pointed solve, G(T), H(T) and every deleted-column
-    minor read; and each solved pivot's checked answer to Eq(T, a), held
-    as plain values that do not refer back to the bitrade.
+    Immutable after construction; use :func:`build_bitrade`.  Three
+    derived values are kept on it, each computed on first use: whether it
+    is indecomposable; and, by ``solver``, the certified Smith form of its
+    relation matrix, the one factorisation of B that every pointed solve,
+    G(T), H(T) and every deleted-column minor read, and each solved
+    pivot's checked answer to Eq(T, a), held as plain values that do not
+    refer back to the bitrade.
     """
 
     def __init__(self, star, delta, universes, star_pair, delta_pair):
@@ -109,10 +111,20 @@ class Bitrade:
     def size(self):
         return len(self.star)
 
+    @cached_property
+    def indecomposable(self):
+        """``is_indecomposable``, searched on first use only."""
+        return is_indecomposable(self)
+
     @property
     def spherical(self):
-        """m == size + 2: a separated bitrade with this count lies on a sphere."""
-        return sum(map(len, self.universes)) == len(self.star) + 2
+        """m == size + 2 and indecomposable: a separated such bitrade lies on a sphere.
+
+        A sphere is connected, so a decomposable bitrade is never spherical,
+        even where its m is size + 2 (a torus beside a sphere).  The count
+        is tested first, so the partner search runs only where it decides.
+        """
+        return sum(map(len, self.universes)) == len(self.star) + 2 and self.indecomposable
 
     def universe(self, role):
         return self.universes[role]
@@ -312,7 +324,7 @@ class Metrics:
     euler_characteristic: int
     separated: bool
     spherical: bool
-    genus: int | None  # None = non-surface
+    genus: int | None  # None = not one surface: not separated, or decomposable
 
     def as_dict(self):
         return {
@@ -333,11 +345,12 @@ def metrics(T):
     o1, o2, o3 = (len(T.universe(r)) for r in (ROW, COL, SYM))
     m = o1 + o2 + o3
     chi = m - s
-    if m > s + 2 and is_indecomposable(T):
+    if m > s + 2 and T.indecomposable:
         raise BitradeError(
             f"m = {m} > size + 2 = {s + 2} on an indecomposable input; "
             "this cannot happen for a latin bitrade"
         )
     separated = is_separated_bitrade(T)
-    genus = (2 - chi) // 2 if separated and chi % 2 == 0 else None
+    # chi = 2 - 2 genus holds on one connected surface, not on a union of several
+    genus = (2 - chi) // 2 if separated and chi % 2 == 0 and T.indecomposable else None
     return Metrics(s, o1, o2, o3, m, chi, separated, T.spherical, genus)

@@ -13,12 +13,13 @@ bitrade's relation matrix is e_row + e_col - e_sym, so nearly every
 pivot is a unit, and this is the Tietze reduction of the presentation
 of G(T).  ``_dense_smith``, the dense loop, then runs only on the block
 of rows and columns left over, which holds no unit.  The units come
-first on the diagonal, and the two phases' transforms are composed into
-one U and V.  The certificate proves on every call that M and its
-diagonal D have isomorphic cokernels through x -> x V: V unimodular,
-by its block-triangular shape in pivot order, U (M V) = D, every column
-of M V a multiple of its d_k, and the divisibility chain.  It forms its
-products over the nonzeros of each row.  ``solver`` computes the Smith
+first on the diagonal.  Each row and column operation of either phase
+is applied to U and V where it is made.  The certificate proves on
+every call that M and its diagonal D have isomorphic cokernels through
+x -> x V: V unimodular, by its block-triangular shape in pivot order,
+U (M V) = D, every column of M V a multiple of its d_k, and the
+divisibility chain.  It forms its products over the nonzeros of each
+row.  ``solver`` computes the Smith
 form of a bitrade's relation matrix once and keeps it on the bitrade;
 the pointed solves, G(T), H(T), the canonical images, the rank of B and
 the deleted-column minors are read from it.
@@ -69,38 +70,30 @@ def smith_normal_form(M):
     Two phases.  ``_unit_reduce`` first eliminates the unit pivots
     sparsely, least Markowitz cost first; each becomes a 1 on the
     diagonal.  ``_dense_smith`` then reduces the block of rows and
-    columns left over, which holds no unit.  Both phases' transforms
-    are composed into one U and V, the units first on the diagonal, so
-    the divisibility chain holds.  Every returned form has passed
-    ``_certify`` on the sparse rows that the dense matrices returned are
-    written out from; the SmithForm docstring says what that proves.
+    columns left over, which holds no unit.  Each phase applies its row
+    and column operations to U and V where it makes them; the units come
+    first on the diagonal, so the divisibility chain holds.  Every
+    returned form has passed ``_certify`` on the sparse rows that the
+    dense matrices returned are written out from; the SmithForm
+    docstring says what that proves.
     """
     n = len(M)
     m = len(M[0]) if n else 0
     M = _sparse(M)
-    pivots, rows, cols, block = _unit_reduce(M, m)
-    U = [{i: 1} for i in range(n)]
-    V_cols = [{j: 1} for j in range(m)]  # V by columns, which the column operations add
-    for i, j, _, row_ops, col_ops in pivots:
-        for k, q in row_ops:
-            _add_to(U[k], U[i], q)
-        for l, q in col_ops:
-            _add_to(V_cols[l], V_cols[j], q)
-    block_diagonal, bU, bV, bV_inv = _dense_smith(block, len(cols))
-    # U' P U and V Q V', with P and Q putting the pivots first
+    pivots, rows, cols, block, U, V_cols = _unit_reduce(M, m)
     U_kept = [U[i] for i in rows]
-    U = [{k: s * x for k, x in U[i].items()} for i, _, s, _, _ in pivots]
-    U += [_row_times(coeffs, U_kept) for coeffs in _sparse(bU)]
     V_kept = [V_cols[j] for j in cols]
-    order = [j for _, j, _, _, _ in pivots] + cols
-    V_cols = [V_cols[j] for j in order[:len(pivots)]]
-    V_cols += [_row_times(coeffs, V_kept) for coeffs in _sparse(zip(*bV))]
+    block_diagonal, V_inv = _dense_smith(block, len(cols), U_kept, V_kept)
+    # U' P U and V Q V', with P and Q putting the pivots first
+    U = [{k: s * x for k, x in U[i].items()} for i, _, s in pivots] + U_kept
+    order = [j for _, j, _ in pivots] + cols
+    V_cols = [V_cols[j] for _, j, _ in pivots] + V_kept
     V = [{} for _ in range(m)]
     for k, col in enumerate(V_cols):
         for i, x in col.items():
             V[i][k] = x
     diagonal = [1] * len(pivots) + block_diagonal
-    _certify(M, diagonal, U, V, order, _sparse(bV_inv))
+    _certify(M, diagonal, U, V, order, _sparse(V_inv))
     return SmithForm(diagonal, _dense(U, n), _dense(V, m))
 
 
@@ -152,19 +145,23 @@ def _unit_reduce(M, m):
     j by adding multiples of row i to the other rows, then row i by
     adding multiples of column j to the other columns; those column
     operations change no entry but (i, l), as column j is 0 elsewhere.
-    Returns (pivots, rows, cols, block):
+    Each row operation is applied to U's rows and each column operation
+    to V's columns as it is made.  Returns (pivots, rows, cols, block,
+    U, V_cols):
 
-    - pivots, in order, as (i, j, s, row_ops, col_ops): s = M'[i][j]
-      is the unit, row_ops the pairs (k, q) for "row k += q row i" and
-      col_ops the pairs (l, q) for "column l += q column j";
+    - pivots, in order, as (i, j, s): s = M'[i][j] is the unit;
     - rows and cols, the indices never pivoted, in increasing order;
     - block, the dense entries of those rows on those columns, which
-      hold no unit.
+      hold no unit;
+    - U by its rows and V by its columns, as {index: nonzero value},
+      the products of the operations made: U M V is M' after them.
 
     After the operations, row i of a pivot is s e_j, and the rows left
     are 0 on every pivot column.
     """
     A = [dict(row) for row in M]
+    U = [{i: 1} for i in range(len(A))]
+    V_cols = [{j: 1} for j in range(m)]  # V by columns, which the column operations add
     holders = [set() for _ in range(m)]  # column -> the unpivoted rows nonzero there
     for i, row in enumerate(A):
         for j in row:
@@ -193,14 +190,13 @@ def _unit_reduce(M, m):
         pivot_row = A[i]
         s = pivot_row[j]
         rest = [(l, x) for l, x in pivot_row.items() if l != j]
-        row_ops = []
         for k in sorted(holders[j]):
             if k == i:
                 continue
             row = A[k]
             lengths[len(row)] -= 1
             q = -s * row.pop(j)  # row k += q row i: entry (k, j) becomes 0
-            row_ops.append((k, q))
+            _add_to(U[k], U[i], q)
             for l, x in rest:
                 old = row.get(l)
                 if old is None:
@@ -215,28 +211,31 @@ def _unit_reduce(M, m):
         holders[j].clear()
         for l, _ in rest:
             holders[l].discard(i)
-        col_ops = [(l, -s * x) for l, x in rest]
+        for l, x in rest:
+            _add_to(V_cols[l], V_cols[j], -s * x)
         lengths[len(pivot_row)] -= 1
         live_cols.remove(j)
-        pivots.append((i, j, s, row_ops, col_ops))
-    pivoted = {i for i, _, _, _, _ in pivots}
+        pivots.append((i, j, s))
+    pivoted = {i for i, _, _ in pivots}
     rows = [i for i in range(len(A)) if i not in pivoted]
     block = [[A[i].get(j, 0) for j in live_cols] for i in rows]
-    return pivots, rows, live_cols, block
+    return pivots, rows, live_cols, block, U, V_cols
 
 
-def _dense_smith(M, m):
-    """(diagonal, U, V, V_inv) of U M V = D for a dense n x m block, unverified.
+def _dense_smith(M, m, U, V):
+    """(diagonal, V_inv) of the dense n x m block M's Smith form, unverified.
 
-    Every elementary column operation applied to V is undone on the rows
-    of V_inv, so the inverse that ``_certify`` reads costs no elimination.
-    The pivot is the first entry of least absolute value; a unit pivot
-    ends the scan and needs no divisibility pass.
+    Each operation on M is also made, in place, on U, the sparse rows of
+    the whole U that M's rows came from, and on V, the sparse columns of
+    the whole V that M's columns came from.  Every column operation is
+    undone on the rows of V_inv, the block's inverse, so the inverse
+    that ``_certify`` reads costs no elimination.  The pivot is the
+    first entry of least absolute value; a unit pivot ends the scan and
+    needs no divisibility pass.
     """
     n = len(M)
     A = [[int(x) for x in row] for row in M]
-    U = identity(n)
-    V, V_inv = identity(m), identity(m)
+    V_inv = identity(m)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -245,24 +244,24 @@ def _dense_smith(M, m):
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        V[i], V[j] = V[j], V[i]
         V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
 
     def add_row(dst, src, q):
-        A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+        if q:  # a no-op, which _add_to cannot take: it would delete keys dst lacks
+            A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
+            _add_to(U[dst], U[src], q)
 
     def add_col(dst, src, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-        V_inv[src] = [x - q * y for x, y in zip(V_inv[src], V_inv[dst])]
+        if q:
+            for row in A:
+                row[dst] += q * row[src]
+            _add_to(V[dst], V[src], q)
+            V_inv[src] = [x - q * y for x, y in zip(V_inv[src], V_inv[dst])]
 
     def negate_row(i):
         A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
+        U[i] = {k: -x for k, x in U[i].items()}
 
     t = 0
     while t < min(n, m):
@@ -319,7 +318,7 @@ def _dense_smith(M, m):
         t += 1
 
     diagonal = [A[k][k] for k in range(min(n, m))]
-    return diagonal, U, V, V_inv
+    return diagonal, V_inv
 
 
 def _certify(M, diagonal, U, V, order, V_inv):

@@ -134,7 +134,7 @@ def subgroup_H(T):
     explicit raise, so it holds under ``python -O``.
     """
     G = presentation(T)
-    if T.spherical and G.free_rank != 2:
+    if G.free_rank != 2 and T.spherical:
         raise InternalCheckFailed(
             "G must have free rank 2 for a spherical bitrade, so that H is its torsion")
     return AbelianGroupStructure(G.free_rank - 2, G.invariant_factors)

@@ -191,7 +191,7 @@ def _solve(T, a):
     # row a of B x = -e_a, the one equation not checked above
     if y[a.sym] != d:
         raise InternalCheckFailed(f"solution does not fix the pivot {a}'s symbol at 1")
-    if T.spherical and not all(0 <= v <= d for v in y.values()):
+    if not all(0 <= v <= d for v in y.values()) and T.spherical:
         raise InternalCheckFailed("spherical solution has a value outside [0, 1]")
     g = math.gcd(d, *y.values())
     return d // g, {lab: v // g for lab, v in y.items()}

@@ -137,7 +137,8 @@ def pinched_intercalates():
 def sphere_and_torus(intercalate, toroidal):
     """The intercalate beside the toroidal bitrade, on disjoint labels.
 
-    m = s + 2, so it counts as spherical, but nullity(B) = 4: rank B < s.
+    m = s + 2, yet it is not spherical: it is decomposable, a sphere beside
+    a torus.  nullity(B) = 4, so rank B < s and G = Z^4 + Z2.
     """
     shift = [len(universe) for universe in intercalate.universes]
 

@@ -190,6 +190,40 @@ class TestEmbed:
         assert code == 6 and "G must have free rank 2" in err and "torsion" in err
 
 
+class TestSphereBesideTorus:
+    """The intercalate beside the toroidal bitrade: m = size + 2, yet decomposable,
+    so it is not spherical, has no genus, and no spherical-only check applies."""
+
+    @pytest.fixture
+    def path(self, sphere_and_torus, tmp_path):
+        path = tmp_path / "sphere_and_torus.json"
+        jsonio.dump(sphere_and_torus, path)
+        return path
+
+    def test_validate(self, path, capsys):
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0 and "size 22, m 24" in out
+        assert "indecomposable: False" in out
+        assert "non-spherical (euler characteristic 2)\n" in out
+        code, out, _ = run(capsys, "validate", "--json", str(path))
+        doc = json.loads(out)
+        assert (code, doc["indecomposable"], doc["spherical"], doc["genus"]) == (0, False, False, None)
+
+    def test_embed(self, path, capsys):
+        code, out, _ = run(capsys, "embed", str(path))
+        assert code == 0
+        assert "G = Z + Z + Z + Z + Z2\n" in out and "H = Z + Z + Z2\n" in out
+        assert "deleted-column determinants" not in out
+
+    def test_report(self, path, capsys):
+        code, out, _ = run(capsys, "report", str(path.parent))
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and len(rows) == 22
+        # nullity B is 4, so every pointed system is singular
+        assert {(row["status"], row["genus"], row["H"], row["det_B"]) for row in rows} == {
+            ("singular", "", "Z + Z + Z2", "")}
+
+
 class TestSeparateAndTrigons:
     def test_ex45_pair(self, corpus_dir, capsys):
         code, out, _ = run(

@@ -185,6 +185,13 @@ class TestMetrics:
         assert met.size == 18 and not met.spherical
         assert met.genus == 1
 
+    def test_decomposable_has_no_genus(self, two_intercalates, sphere_and_torus):
+        # chi is 4 and 2, but neither is one surface: two spheres, a sphere and a torus
+        for T, chi in ((two_intercalates, 4), (sphere_and_torus, 2)):
+            met = metrics(T)
+            assert (met.euler_characteristic, met.separated) == (chi, True)
+            assert (met.spherical, met.genus, T.indecomposable) == (False, None, False)
+
     def test_indecomposable(self, spherical_corpus, toroidal):
         for T in list(spherical_corpus.values()) + [toroidal]:
             assert is_indecomposable(T)

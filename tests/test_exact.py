@@ -288,40 +288,47 @@ def _swapped(rows, a, b):
     return rows
 
 
-def _double_block_column(diagonal, U, V, V_inv):
+# the dense-block faults take _dense_smith's (diagonal, V_inv) and the rows of U
+# and columns of V that it was handed and made its operations on, in place
+
+
+def _double_block_column(diagonal, V_inv, U, V):
     # V' with its first column doubled, of determinant 2 det V', beside the
     # inverse carried for the old V'
-    return diagonal, U, [[2 * row[0], *row[1:]] for row in V], V_inv
+    V[0] = {i: 2 * x for i, x in V[0].items()}
+    return diagonal, V_inv
 
 
-def _double_diagonal(diagonal, U, V, V_inv):
-    return [2 * d for d in diagonal], U, V, V_inv
+def _double_diagonal(diagonal, V_inv, U, V):
+    return [2 * d for d in diagonal], V_inv
 
 
-def _scale_last_nonzero(diagonal, U, V, V_inv):
+def _scale_last_nonzero(diagonal, V_inv, U, V):
     # as in test_rejects_scaled_diagonal_entry: U M V = D and the chain hold
     k = max(k for k, d in enumerate(diagonal) if d)
-    return ([3 * d if i == k else d for i, d in enumerate(diagonal)],
-            [[3 * x for x in row] if i == k else row for i, row in enumerate(U)], V, V_inv)
+    U[k] = {i: 3 * x for i, x in U[k].items()}
+    return [3 * d if i == k else d for i, d in enumerate(diagonal)], V_inv
 
 
-def _swap_first_and_last(diagonal, U, V, V_inv):
+def _swap_first_and_last(diagonal, V_inv, U, V):
     # P D P for the swap P, with U -> P U, V -> V P and V_inv -> P V_inv: still
     # U M V = D with V unimodular, but the diagonal is out of its chain order
     k = len(diagonal) - 1
-    return (_swapped(diagonal, 0, k), _swapped(U, 0, k),
-            [_swapped(row, 0, k) for row in V], _swapped(V_inv, 0, k))
+    U[0], U[k] = U[k], U[0]
+    V[0], V[k] = V[k], V[0]
+    return _swapped(diagonal, 0, k), _swapped(V_inv, 0, k)
 
 
-def _add_to_an_earlier_pivot(pivots):
+def _add_to_an_earlier_pivot(pivots, V_cols):
     # column j_1 += column j_p: V is still unimodular, but not of the shape
     # [[T, X], [0, V']] that proves it
-    pivots[-1][4].append((pivots[0][1], 1))
+    exact._add_to(V_cols[pivots[0][1]], V_cols[pivots[-1][1]], 1)
 
 
-def _double_a_pivot_column(pivots):
-    # column j_p += column j_p: T gets a 2 on its diagonal, and det V = +-2
-    pivots[-1][4].append((pivots[-1][1], 1))
+def _double_a_pivot_column(pivots, V_cols):
+    # column j_p doubled: T gets a 2 on its diagonal, and det V = +-2
+    j = pivots[-1][1]
+    V_cols[j] = {i: 2 * x for i, x in V_cols[j].items()}
 
 
 class TestLibraryCertificate:
@@ -345,7 +352,8 @@ class TestLibraryCertificate:
     ])
     def test_rejects_faulty_dense_block(self, monkeypatch, fault, message):
         dense_smith = exact._dense_smith
-        monkeypatch.setattr(exact, "_dense_smith", lambda M, m: fault(*dense_smith(M, m)))
+        monkeypatch.setattr(exact, "_dense_smith",
+                            lambda M, m, U, V: fault(*dense_smith(M, m, U, V), U, V))
         for M in self.with_blocks:
             with pytest.raises(InternalCheckFailed, match=message):
                 smith_normal_form(M)
@@ -355,9 +363,9 @@ class TestLibraryCertificate:
         unit_reduce = exact._unit_reduce
 
         def faulty(M, m):
-            pivots, rows, cols, block = unit_reduce(M, m)
-            fault(pivots)
-            return pivots, rows, cols, block
+            pivots, rows, cols, block, U, V_cols = unit_reduce(M, m)
+            fault(pivots, V_cols)
+            return pivots, rows, cols, block, U, V_cols
 
         monkeypatch.setattr(exact, "_unit_reduce", faulty)
         for B in self.Bs:

@@ -17,7 +17,6 @@ from bitrades.core import (
     COL,
     ROW,
     SYM,
-    InternalCheckFailed,
     Label,
     Triple,
     build_bitrade,
@@ -162,8 +161,8 @@ class TestSubgroupHAgainstRationalOracle:
         # compares the first two with the oracles)
         for T, free in ((two_intercalates, 2), (pinched_intercalates, 1)):
             assert subgroup_H(T).free_rank == free
-        with pytest.raises(InternalCheckFailed, match="free rank 2"):
-            subgroup_H(sphere_and_torus)  # m = s + 2, yet G = Z^4 + Z2
+        # m = s + 2, but decomposable, so not spherical, and G = Z^4 + Z2 is allowed
+        assert subgroup_H(sphere_and_torus) == groups.AbelianGroupStructure(2, (2,))
 
 
 def test_one_smith_form_of_B_per_bitrade(monkeypatch):
@@ -283,11 +282,15 @@ class TestDetInvariance:
         cayley = [cayley_bitrade(n, k, [[f"{x}{i}" for i in range(n)] for x in "rcs"],
                                  [range(n)] * 3)
                   for n in range(2, 6) for k in range(1, n)]
-        rep = check_det_invariance(sphere_and_torus)  # rank B < s: every minor is 0
+        # m = s + 2, so each minor is square, but decomposable, so not spherical;
+        # rank B < s, and every minor is 0
+        with pytest.raises(ValueError, match="spherical"):
+            check_det_invariance(sphere_and_torus)
+        rep = pivot_oracle.check_det_invariance(sphere_and_torus)
         assert (rep.common_value, rep.nonzero) == (0, False)
         spherical = 0
         for T in [*spherical_corpus.values(), *seeded_spherical, toroidal, toroidal_swapped,
-                  *(T for T, _, _ in products.values()), *cayley, sphere_and_torus]:
+                  *(T for T, _, _ in products.values()), *cayley]:
             if T.spherical:
                 assert check_det_invariance(T) == pivot_oracle.check_det_invariance(T)
                 spherical += 1
@@ -296,7 +299,7 @@ class TestDetInvariance:
                     check_det_invariance(T)
                 with pytest.raises(ValueError, match="non-square"):
                     pivot_oracle.check_det_invariance(T)
-        assert spherical == 3 + 8 + 1 + 1  # Z_2's Cayley bitrade is the intercalate
+        assert spherical == 3 + 8 + 1  # Z_2's Cayley bitrade is the intercalate
 
     def test_minors_do_not_depend_on_the_kernel_basis(self, spherical_corpus,
                                                       seeded_spherical):

@@ -1,0 +1,128 @@
+"""Every CLI command on mutated inputs ends in a documented exit code, never in 6.
+
+The inputs are corpus bitrades, seeded dissections and Z_n Cayley tables,
+mutated by star/delta swaps, label merges, dropped triples and disjoint
+unions.  Exit 6 means that a run-time check of a proven property failed,
+so no input may reach it: bad input exits 2 or 3, a singular or
+non-separated pointed system 4 or 5, and no command ends in a traceback.
+A disjoint union of a torus and a sphere has m = size + 2; it must not be
+taken for a sphere.
+"""
+
+import contextlib
+import csv
+import functools
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bitrades import corpus, jsonio
+from bitrades.cli import main
+from bitrades.geometry import extract_bitrade
+from conftest import spherical_dissection
+from test_groups import cayley_bitrade
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+LABEL_KEYS = ("rows", "cols", "syms")
+CAYLEY = ((2, 1), (3, 1), (4, 1), (4, 2), (5, 2))
+SEEDED = (4, 7, 10, 13)
+BASES = ("intercalate", "ex45", "toroidal", "toroidal_swapped", "nested",
+         *(f"seeded{n}" for n in SEEDED), *(f"Z{n}_shift{k}" for n, k in CAYLEY))
+MUTATIONS = ("swap star and delta", "swap a star and a delta triple", "merge two labels",
+             "drop a triple")
+
+
+@functools.cache
+def base_documents():
+    """Name -> the JSON document of each base input."""
+    named = {
+        "intercalate": corpus.intercalate(),
+        "ex45": corpus.example_4x5(),
+        "toroidal": corpus.toroidal(),
+        "toroidal_swapped": corpus.toroidal_swapped(),
+        "nested": corpus.nested_intercalate().bitrade,
+    }
+    for seed, n in enumerate(SEEDED):
+        named[f"seeded{n}"] = extract_bitrade(spherical_dissection(random.Random(seed), n)).bitrade
+    for n, k in CAYLEY:
+        names = [[f"{x}{i}" for i in range(n)] for x in "rcs"]
+        named[f"Z{n}_shift{k}"] = cayley_bitrade(n, k, names, [range(n)] * 3)
+    return {name: json.loads(jsonio.dumps(T)) for name, T in named.items()}
+
+
+def build(recipe):
+    """The document of (bases, mutations): the bases side by side on disjoint
+    labels, then each mutation (kind, a, b), a and b picking what it acts on."""
+    bases, mutations = recipe
+    doc = {key: [] for key in (*LABEL_KEYS, "star", "delta")}
+    for k, name in enumerate(bases):
+        tag = "'" * k
+        base = base_documents()[name]
+        for key in LABEL_KEYS:
+            doc[key] += [label + tag for label in base[key]]
+        for key in ("star", "delta"):
+            doc[key] += [[label + tag for label in t] for t in base[key]]
+    star, delta = doc["star"], doc["delta"]
+    for kind, a, b in mutations:
+        if kind == "swap star and delta":
+            star, delta = delta, star
+        elif kind == "swap a star and a delta triple" and star and delta:
+            i, j = a % len(star), b % len(delta)
+            star[i], delta[j] = delta[j], star[i]
+        elif kind == "merge two labels" and len(doc[LABEL_KEYS[a % 3]]) > 1:
+            role = a % 3
+            labels = doc[LABEL_KEYS[role]]
+            gone = labels.pop(b % len(labels))
+            kept = labels[a // 3 % len(labels)]
+            for t in star + delta:
+                if t[role] == gone:
+                    t[role] = kept
+        elif kind == "drop a triple":
+            side = (star, delta)[a % 2]
+            if side:
+                del side[b % len(side)]
+    doc["star"], doc["delta"] = star, delta
+    return doc
+
+
+recipes = st.tuples(
+    st.lists(st.sampled_from(BASES), min_size=1, max_size=2),
+    st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6), st.integers(0, 10**6)),
+             max_size=3),
+)
+
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))  # an unmapped exception propagates: a traceback
+    return code, out.getvalue()
+
+
+@given(recipes)
+@settings(max_examples=150, deadline=None)
+@example((["intercalate", "toroidal"], []))  # m = size + 2, a sphere beside a torus
+@example((["toroidal_swapped", "seeded10"], [("swap star and delta", 0, 0)]))
+def test_every_command_exits_with_a_documented_code(recipe):
+    doc = build(recipe)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        commands = [["validate"], ["validate", "--json"], ["solve"], ["solve", "--json"],
+                    ["dissect"], ["embed"], ["embed", "--json"], ["trigons"]]
+        for key, coord in zip(LABEL_KEYS, "123"):
+            if len(doc[key]) > 1:
+                commands.append(["separate", "--pair", *doc[key][:2], "--coord", coord])
+        for command in commands:
+            code, _ = run(command[0], str(path), *command[1:])
+            assert code in DOCUMENTED_EXITS, (command, code)
+        report = Path(d) / "report.csv"
+        assert run("report", d, "-o", str(report))[0] == 0
+        with open(report, newline="", encoding="utf-8") as fh:
+            statuses = {row["status"] for row in csv.DictReader(fh)}
+        assert "error InternalCheckFailed" not in statuses, statuses

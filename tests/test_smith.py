@@ -92,11 +92,21 @@ def test_phase_one_leaves_no_unit_in_the_block(bitrades_under_test):
     # each unit pivot puts a 1 on the diagonal, so there are at most rank B of them
     for name, T in bitrades_under_test.items():
         B, labels = relation_matrix(T)
-        pivots, rows, cols, block = _unit_reduce(_sparse(B), len(labels))
+        pivots, rows, cols, block, U, V_cols = _unit_reduce(_sparse(B), len(labels))
         rank = groups.integer_homotopy_rank(T)[0]
         assert len(pivots) + len(rows) == len(B) and len(pivots) + len(cols) == len(labels)
         assert len(cols) >= len(labels) - rank, name
         assert not any(abs(x) == 1 for row in block for x in row), name
+        # the operations made on U and V reduce B: U B V is s e_j on each pivot's
+        # row i and the block on the rows left, which are 0 on every pivot column
+        BV = [[sum(row[l] * x for l, x in col.items()) for col in V_cols] for row in B]
+        UBV = [[sum(u * BV[k][c] for k, u in Ui.items()) for c in range(len(labels))]
+               for Ui in U]
+        for i, j, s in pivots:
+            assert UBV[i] == [s if c == j else 0 for c in range(len(labels))], name
+        for r, block_row in zip(rows, block):
+            assert [UBV[r][c] for c in cols] == block_row, name
+            assert not any(UBV[r][j] for _, j, _ in pivots), name
 
 
 def unit_heavy_matrices():
@@ -132,8 +142,9 @@ def test_unit_heavy_matrices_match_oracle(M, data):
 
 def test_matrix_without_units_goes_to_the_dense_block():
     M = [[2, 4, 0], [6, -8, 2], [0, 2, 4]]
-    pivots, rows, cols, block = _unit_reduce(_sparse(M), len(M[0]))
+    pivots, rows, cols, block, U, V_cols = _unit_reduce(_sparse(M), len(M[0]))
     assert (pivots, rows, cols, block) == ([], [0, 1, 2], [0, 1, 2], M)
+    assert U == V_cols == [{0: 1}, {1: 1}, {2: 1}]
     assert_matches_oracle(M)
 
 
@@ -142,5 +153,5 @@ def test_units_come_first_on_the_diagonal():
     M = [[1, 1, 1], [0, 2, 0], [0, 0, 3]]
     snf = smith_normal_form(M)
     assert snf.diagonal == [1, 1, 6]
-    pivots, rows, cols, block = _unit_reduce(_sparse(M), len(M[0]))
+    pivots, rows, cols, block, _, _ = _unit_reduce(_sparse(M), len(M[0]))
     assert len(pivots) == 1 and block == [[2, 0], [0, 3]]
