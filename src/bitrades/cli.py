@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 axiom violation, 3 parse/usage error (argparse's
 own usage errors, a bad input or output path, a bad option value too),
-4 singular pointed system, 5 solution not separated, 6 internal check
-failed (a run-time self-check of a proven property did not hold: an
-``InternalCheckFailed``).  ``report`` analyses its files in turn in the
+4 singular pointed system, 5 solution not separated (also ``separate`` on
+a bitrade that is not spherical, where no trigon split is proven), 6
+internal check failed (a run-time self-check of a proven property did
+not hold: an ``InternalCheckFailed``).  ``report`` analyses its files in turn in the
 calling thread (``--jobs`` has no effect); a ``BitradeError`` or
 ``AssertionError`` raised after a file loads becomes that file's status.
 """
@@ -327,7 +328,7 @@ EXIT_CODES = (
     ((jsonio.ParseError, trigons.ArgumentError, OSError), EXIT_PARSE, ""),
     ((core.AxiomViolation, core.EmptyInput), EXIT_AXIOM, ""),
     (solver.SingularSystem, EXIT_SINGULAR, ""),
-    (geometry.NotSeparatedSolution, EXIT_NOT_SEPARATED, ""),
+    ((geometry.NotSeparatedSolution, trigons.NotSpherical), EXIT_NOT_SEPARATED, ""),
     (core.InternalCheckFailed, EXIT_INTERNAL, "internal check failed: "),
 )
 

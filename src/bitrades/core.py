@@ -96,14 +96,14 @@ class Bitrade:
     refer back to the bitrade.
     """
 
-    def __init__(self, star, delta, universes, star_pair, delta_pair):
+    def __init__(self, star, delta, universes, star_pair, delta_pair, star_set, delta_set):
         self.star = star  # tuple, canonical (row, col) order
         self.delta = delta
         self.universes = universes  # (rows, cols, syms), tuples of Label
         self._star_pair = star_pair  # {pair: {(value, value): Triple}}
         self._delta_pair = delta_pair
-        self._star_set = frozenset(star)
-        self._delta_set = frozenset(delta)
+        self._star_set = star_set  # frozensets of star and delta
+        self._delta_set = delta_set
         self._relation_smith = None  # (labels, SmithForm of B), set by solver
         self._solutions = {}  # pivot -> values or (rank, nullity, status), set by solver
 
@@ -164,66 +164,70 @@ class Bitrade:
 def build_bitrade(star, delta):
     """Validate R1-R3 and build an indexed Bitrade.
 
+    R2 and R3 hold iff, for each coordinate pair (a, b), neither side
+    repeats a key (t[a], t[b]) and both sides have the same keys: a key
+    that one side repeats gives some triple two partners or none, and a
+    key of one side only gives its triple none.  The key dicts are kept
+    as the partner indexes.  R3 pairs each delta triple with a star
+    triple in (row, col) and in (row, sym), so every delta label is a
+    star label, and the universes are the star's labels.
+
     Raises EmptyInput, ValueError (duplicates, label inconsistencies) or
     AxiomViolation with the first violated axiom, witness triple and
-    coordinate pair.
+    coordinate pair: R2 over the star, then R3 over the delta, each in
+    canonical order.
     """
     star = sorted(star)
     delta = sorted(delta)
     if not star or not delta:
         raise EmptyInput("star and delta must both be non-empty")
-    if len(set(star)) != len(star):
+    star_set = frozenset(star)
+    delta_set = frozenset(delta)
+    if len(star_set) != len(star):
         raise ValueError("duplicate triple in star")
-    if len(set(delta)) != len(delta):
+    if len(delta_set) != len(delta):
         raise ValueError("duplicate triple in delta")
+    if not star_set.isdisjoint(delta_set):
+        q = next(q for q in delta if q in star_set)
+        raise AxiomViolation("R1", q, detail="triple occurs in both star and delta")
 
-    star_set = set(star)
-    for q in delta:
-        if q in star_set:
-            raise AxiomViolation("R1", q, detail="triple occurs in both star and delta")
-
-    def raw_index(triples):
-        idx = {pair: {} for pair in PAIRS}
-        for t in triples:
-            for pair in PAIRS:
-                idx[pair].setdefault((t[pair[0]], t[pair[1]]), []).append(t)
-        return idx
-
-    star_raw = raw_index(star)
-    delta_raw = raw_index(delta)
-
-    for p in star:
-        for pair in PAIRS:
-            hits = delta_raw[pair].get((p[pair[0]], p[pair[1]]), [])
-            if len(hits) != 1:
-                raise AxiomViolation(
-                    "R2", p, pair,
-                    f"{len(hits)} delta triples agree in this coordinate pair (need exactly 1)",
-                )
-    for q in delta:
-        for pair in PAIRS:
-            hits = star_raw[pair].get((q[pair[0]], q[pair[1]]), [])
-            if len(hits) != 1:
-                raise AxiomViolation(
-                    "R3", q, pair,
-                    f"{len(hits)} star triples agree in this coordinate pair (need exactly 1)",
-                )
+    star_cols, delta_cols = tuple(zip(*star)), tuple(zip(*delta))
+    star_pair, delta_pair = {}, {}
+    for a, b in PAIRS:
+        sp = dict(zip(zip(star_cols[a], star_cols[b]), star))
+        dp = dict(zip(zip(delta_cols[a], delta_cols[b]), delta))
+        if len(sp) != len(star) or len(dp) != len(delta) or sp.keys() != dp.keys():
+            raise _first_violation(star, delta)
+        star_pair[a, b], delta_pair[a, b] = sp, dp
 
     universes = []
-    for role in (ROW, COL, SYM):
-        in_star = {t[role] for t in star}
-        labels = sorted(in_star | {t[role] for t in delta})
+    for role, column in enumerate(star_cols):
+        # no delta label is missing here: R3 put each one in the star
+        labels = sorted(set(column))
         if len({lab.index for lab in labels}) != len(labels):
             raise ValueError(f"duplicate {ROLE_NAMES[role]} label index")
         if len({lab.name for lab in labels}) != len(labels):
             raise ValueError(f"duplicate {ROLE_NAMES[role]} label name")
-        if len(labels) != len(in_star):
-            raise ValueError(f"{ROLE_NAMES[role]} label missing from star")
         universes.append(tuple(labels))
+    return Bitrade(tuple(star), tuple(delta), tuple(universes), star_pair, delta_pair,
+                   star_set, delta_set)
 
-    star_pair = {pair: {k: v[0] for k, v in star_raw[pair].items()} for pair in PAIRS}
-    delta_pair = {pair: {k: v[0] for k, v in delta_raw[pair].items()} for pair in PAIRS}
-    return Bitrade(tuple(star), tuple(delta), tuple(universes), star_pair, delta_pair)
+
+def _first_violation(star, delta):
+    """The AxiomViolation of the first star triple (R2), else delta triple (R3),
+    with a coordinate pair in which the other side has no or several partners."""
+    counts = {pair: [Counter((t[pair[0]], t[pair[1]]) for t in side) for side in (star, delta)]
+              for pair in PAIRS}
+    for axiom, side, other, name in (("R2", star, 1, "delta"), ("R3", delta, 0, "star")):
+        for t in side:
+            for pair in PAIRS:
+                hits = counts[pair][other][t[pair[0]], t[pair[1]]]
+                if hits != 1:
+                    return AxiomViolation(
+                        axiom, t, pair,
+                        f"{hits} {name} triples agree in this coordinate pair (need exactly 1)",
+                    )
+    raise InternalCheckFailed("pair keys differ but every triple has exactly one partner")
 
 
 def mu(T, r, s, c):

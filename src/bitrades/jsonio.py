@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .core import COL, ROW, SYM, BitradeError, Label, Triple, build_bitrade
+from .core import COL, ROW, SYM, BitradeError, InternalCheckFailed, Label, Triple, build_bitrade
 
 
 class ParseError(BitradeError):
@@ -28,17 +28,20 @@ def _triples(doc, key, rows, cols, syms):
     raw = doc.get(key)
     if not isinstance(raw, list):
         raise ParseError(f'"{key}" must be a list of [row, col, sym] triples')
-    out = []
-    for entry in raw:
+    # a string or object entry of three characters or keys would unpack into three names
+    if set(map(type, raw)) <= {list}:
+        try:
+            return [Triple(rows[r], cols[c], syms[s]) for r, c, s in raw]
+        except (KeyError, TypeError, ValueError):  # an unknown or unhashable name, or not 3
+            pass
+    for entry in raw:  # name the first entry that is not a triple of known names
         if not (isinstance(entry, list) and len(entry) == 3
                 and all(isinstance(x, str) for x in entry)):
             raise ParseError(f'bad entry in "{key}": {entry!r}')
-        r, c, s = entry
-        for name, table, role in ((r, rows, "rows"), (c, cols, "cols"), (s, syms, "syms")):
+        for name, table, role in zip(entry, (rows, cols, syms), ("rows", "cols", "syms")):
             if name not in table:
                 raise ParseError(f'unknown {role} label {name!r} in "{key}"')
-        out.append(Triple(rows[r], cols[c], syms[s]))
-    return out
+    raise InternalCheckFailed(f'every entry of "{key}" is a triple of known names')
 
 
 def loads(text):

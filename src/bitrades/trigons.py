@@ -57,6 +57,11 @@ class ArgumentError(BitradeError):
     pass
 
 
+class NotSpherical(BitradeError):
+    """The pointed solution does not separate the pair, and the bitrade is not
+    spherical, so no trigon split is proven to separate it."""
+
+
 @dataclass(frozen=True)
 class Trigon:
     triple: Triple  # c, not in star
@@ -308,6 +313,11 @@ def _separate(T, a, b, i, depth):
     hom = induced_homotopy(sol)
     if hom.separates(a[i], b[i]):
         return hom, depth
+    if not T.spherical:  # the trigon lemmas, and so split, hold on a sphere only
+        raise NotSpherical(
+            f"the solution does not separate {a[i]} from {b[i]}, "
+            "and trigon splits need a spherical bitrade"
+        )
     sp = split(T, *_locate_trigon(pointed, sol, b, i))
     outer = sp.outer
     if len(outer.delta) >= len(T.delta):

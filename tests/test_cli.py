@@ -102,6 +102,46 @@ class TestValidate:
         assert code == 2 and "R1" in err
 
 
+class TestInputEntries:
+    """Each bad triple entry gives the message of the first bad entry."""
+
+    @staticmethod
+    def document(star):
+        """The intercalate on one-letter names, with its star entries replaced."""
+        return json.dumps({"rows": ["a", "b"], "cols": ["c", "d"], "syms": ["e", "f"],
+                           "star": star,
+                           "delta": [["a", "c", "f"], ["a", "d", "e"], ["b", "c", "e"],
+                                     ["b", "d", "f"]]})
+
+    def test_the_intercalate_loads(self):
+        T = jsonio.loads(self.document([["a", "c", "e"], ["a", "d", "f"], ["b", "c", "f"],
+                                        ["b", "d", "e"]]))
+        assert T.size == 4
+
+    @pytest.mark.parametrize("entry", [
+        "ace",  # would unpack into three known names
+        {"a": 0, "c": 0, "e": 0},  # so would its keys
+        ["a", 1, "e"], ["a", ["c"], "e"], ["a", "c"], ["a", "c", "e", "f"], None,
+    ])
+    def test_bad_entry(self, entry):
+        star = [entry, ["a", "d", "f"], ["b", "c", "f"], ["b", "d", "e"]]
+        with pytest.raises(jsonio.ParseError) as e:
+            jsonio.loads(self.document(star))
+        assert str(e.value) == f'bad entry in "star": {entry!r}'
+
+    @pytest.mark.parametrize("entry, message", [
+        (["x", "c", "e"], "unknown rows label 'x'"),
+        (["a", "x", "e"], "unknown cols label 'x'"),
+        (["a", "c", "x"], "unknown syms label 'x'"),
+        (["c", "a", "e"], "unknown rows label 'c'"),
+    ])
+    def test_unknown_label(self, entry, message):
+        star = [["a", "c", "e"], entry, ["b", "c", "f"], "bde"]  # the first bad entry is named
+        with pytest.raises(jsonio.ParseError) as e:
+            jsonio.loads(self.document(star))
+        assert str(e.value) == f'{message} in "star"'
+
+
 class TestSolve:
     def test_ex45_values(self, corpus_dir, capsys):
         code, out, _ = run(

@@ -3,13 +3,17 @@ import math
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import axiom_oracle
 import scan_oracle
 from bitrades.core import (
     COL,
     ROW,
     SYM,
     AxiomViolation,
+    BitradeError,
     EmptyInput,
     Label,
     Triple,
@@ -26,6 +30,7 @@ from bitrades.core import (
 from conftest import triple_by_names
 from isotopy_oracle import apply_isotopy, is_isotopic, semidual_faces, tau_inverse
 from test_groups import cayley_bitrade
+from test_mutated_inputs import LABEL_KEYS, build, recipes
 
 
 def labels(role, names):
@@ -86,6 +91,75 @@ class TestValidation:
 
         with pytest.raises(ValueError, match="duplicate row label index"):
             build_bitrade(rename(intercalate.star), rename(intercalate.delta))
+
+
+def outcome(validate, star, delta):
+    """What validate(star, delta) gives: the kept values, or the exception's
+    type, message, axiom, witness triple and coordinate pair."""
+    try:
+        return validate(star, delta)
+    except (BitradeError, ValueError) as e:
+        return (type(e), str(e), getattr(e, "axiom", None), getattr(e, "triple", None),
+                getattr(e, "pair", None))
+
+
+def kept(star, delta):
+    T = build_bitrade(star, delta)
+    assert (T._star_set, T._delta_set) == (frozenset(T.star), frozenset(T.delta))
+    return T.star, T.delta, T.universes, T._star_pair, T._delta_pair
+
+
+def assert_agrees_with_axiom_oracle(star, delta):
+    assert outcome(kept, star, delta) == outcome(axiom_oracle.validate, star, delta)
+
+
+def document_triples(doc):
+    """The star and delta triples of an input document, on its label lists."""
+    tables = [{name: Label(role, i, name) for i, name in enumerate(doc[key])}
+              for role, key in enumerate(LABEL_KEYS)]
+    return [[Triple(*(table[name] for table, name in zip(tables, t))) for t in doc[side]]
+            for side in ("star", "delta")]
+
+
+CUBE = [labels(role, [f"{x}{i}" for i in range(3)]) for role, x in enumerate("rcs")]
+cube_triples = st.lists(st.tuples(*[st.sampled_from(u) for u in CUBE]).map(lambda t: Triple(*t)),
+                        max_size=8)
+CUBE_CORNER = Triple(*(u[0] for u in CUBE))
+
+
+class TestAgainstAxiomOracle:
+    """build_bitrade checks R2 and R3 as equal pair-key sets and searches for a
+    witness only on failure; the per-triple oracle must agree on every input."""
+
+    @given(recipes)
+    @settings(max_examples=150, deadline=None)
+    @example((["seeded13", "Z5_shift2"], []))
+    @example((["nested"], [("swap a star and a delta triple", 3, 4)]))
+    def test_mutated_documents(self, recipe):
+        assert_agrees_with_axiom_oracle(*document_triples(build(recipe)))
+
+    @given(cube_triples, cube_triples)
+    @settings(max_examples=300, deadline=None)
+    @example([CUBE_CORNER] * 2, [CUBE_CORNER])  # a duplicate star triple
+    @example([CUBE_CORNER], [CUBE_CORNER])  # R1
+    def test_triples_of_a_small_cube(self, star, delta):
+        assert_agrees_with_axiom_oracle(star, delta)
+
+    @pytest.mark.parametrize("recipe, axiom", [
+        ((["ex45"], []), None),
+        ((["intercalate"], [("merge two labels", 0, 0)]), "R1"),
+        ((["intercalate"], [("drop a triple", 1, 0)]), "R2"),
+        ((["intercalate"], [("drop a triple", 0, 0)]), "R3"),
+    ])
+    def test_each_axiom_is_reached(self, recipe, axiom):
+        star, delta = document_triples(build(recipe))
+        assert_agrees_with_axiom_oracle(star, delta)
+        if axiom is None:
+            build_bitrade(star, delta)
+        else:
+            with pytest.raises(AxiomViolation) as e:
+                build_bitrade(star, delta)
+            assert e.value.axiom == axiom
 
 
 class TestValues:
