@@ -7,10 +7,11 @@ once, and every pointed solve, G(T), H(T) and every deleted-column
 minor is read off that one certified form.
 
 ``smith_normal_form`` works in two phases.  ``_unit_reduce`` eliminates
-the unit pivots sparsely, on rows held as dicts of their nonzeros, the
-+-1 entry of least Markowitz cost (r - 1)(c - 1) first; every row of a
-bitrade's relation matrix is e_row + e_col - e_sym, so nearly every
-pivot is a unit, and this is the Tietze reduction of the presentation
+the unit pivots sparsely, on rows held as dicts of their nonzeros, in
+row order: the first row that holds a +-1, on its +-1 in the column of
+fewest nonzeros.  Every row of a bitrade's relation matrix is e_row +
+e_col - e_sym, so every entry starts as a unit and no search for a
+cheap pivot pays for itself; this is the Tietze reduction of the presentation
 of G(T).  ``_dense_smith``, the dense loop, then runs only on the block
 of rows and columns left over, which holds no unit.  The units come
 first on the diagonal.  Each row and column operation of either phase
@@ -27,8 +28,8 @@ the deleted-column minors are read from it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import compress
 
 from .core import InternalCheckFailed
@@ -68,11 +69,11 @@ def smith_normal_form(M):
     """Smith normal form of an integer matrix, with its transforms U and V.
 
     Two phases.  ``_unit_reduce`` first eliminates the unit pivots
-    sparsely, least Markowitz cost first; each becomes a 1 on the
-    diagonal.  ``_dense_smith`` then reduces the block of rows and
-    columns left over, which holds no unit.  Each phase applies its row
-    and column operations to U and V where it makes them; the units come
-    first on the diagonal, so the divisibility chain holds.  Every
+    sparsely, in row order; each becomes a 1 on the diagonal.
+    ``_dense_smith`` then reduces the block of rows and columns left
+    over, which holds no unit.  Each phase applies its row and column
+    operations to U and V where it makes them; the units come first on
+    the diagonal, so the divisibility chain holds.  Every
     returned form has passed ``_certify`` on the sparse rows that the
     dense matrices returned are written out from; the SmithForm
     docstring says what that proves.
@@ -139,15 +140,15 @@ def _unit_reduce(M, m):
     """Phase 1 of ``smith_normal_form``: clear the unit pivots, sparsely.
 
     M is given by its rows as {column: nonzero value}, m columns wide,
-    and is not modified.  Each step takes the +-1 entry (i, j) of least
-    Markowitz cost (r - 1)(c - 1), r and c the nonzeros of its row and
-    column among the rows and columns not yet pivoted.  It clears column
-    j by adding multiples of row i to the other rows, then row i by
-    adding multiples of column j to the other columns; those column
-    operations change no entry but (i, l), as column j is 0 elsewhere.
-    Each row operation is applied to U's rows and each column operation
-    to V's columns as it is made.  Returns (pivots, rows, cols, block,
-    U, V_cols):
+    and is not modified.  Each step takes the first row i not yet
+    pivoted, in row order, that holds a +-1, and pivots on the +-1 (i, j)
+    of that row whose column j has the fewest nonzeros among the rows not
+    yet pivoted, the lowest j on a tie.  It clears column j by adding
+    multiples of row i to the other rows, then row i by adding multiples
+    of column j to the other columns; those column operations change no
+    entry but (i, l), as column j is 0 elsewhere.  Each row operation is
+    applied to U's rows and each column operation to V's columns as it
+    is made.  Returns (pivots, rows, cols, block, U, V_cols):
 
     - pivots, in order, as (i, j, s): s = M'[i][j] is the unit;
     - rows and cols, the indices never pivoted, in increasing order;
@@ -166,35 +167,24 @@ def _unit_reduce(M, m):
     for i, row in enumerate(A):
         for j in row:
             holders[j].add(i)
-    lengths = Counter(map(len, A))  # of the unpivoted rows
     pivots = []
-    live_cols = list(range(m))
-    while True:
-        # columns by count; a column of count c costs at least (c - 1) * shortest
-        counts = list(map(len, holders))
-        shortest = min((r for r, k in lengths.items() if k and r), default=1) - 1
-        best = None
-        for j in sorted(live_cols, key=counts.__getitem__):
-            c = counts[j] - 1
-            if best is not None and c * shortest >= best[0]:
-                break
-            for i in holders[j]:
-                x = A[i][j]
-                if x == 1 or x == -1:
-                    cost = (len(A[i]) - 1) * c
-                    if best is None or cost < best[0]:
-                        best = cost, i, j
-        if best is None:
-            break
-        _, i, j = best
+    pivoted = set()
+    queue = list(range(len(A)))  # a heap of the rows that may hold a unit
+    while queue:
+        i = heappop(queue)
+        if i in pivoted:
+            continue
         pivot_row = A[i]
+        units = [(len(holders[j]), j) for j, x in pivot_row.items() if x == 1 or x == -1]
+        if not units:
+            continue  # until a row operation changes row i and queues it again
+        j = min(units)[1]
         s = pivot_row[j]
         rest = [(l, x) for l, x in pivot_row.items() if l != j]
         for k in sorted(holders[j]):
             if k == i:
                 continue
             row = A[k]
-            lengths[len(row)] -= 1
             q = -s * row.pop(j)  # row k += q row i: entry (k, j) becomes 0
             _add_to(U[k], U[i], q)
             for l, x in rest:
@@ -207,34 +197,32 @@ def _unit_reduce(M, m):
                 else:
                     del row[l]
                     holders[l].discard(k)
-            lengths[len(row)] += 1
+            heappush(queue, k)
         holders[j].clear()
-        for l, _ in rest:
-            holders[l].discard(i)
         for l, x in rest:
+            holders[l].discard(i)
             _add_to(V_cols[l], V_cols[j], -s * x)
-        lengths[len(pivot_row)] -= 1
-        live_cols.remove(j)
         pivots.append((i, j, s))
-    pivoted = {i for i, _, _ in pivots}
+        pivoted.add(i)
+    pivot_cols = {j for _, j, _ in pivots}
     rows = [i for i in range(len(A)) if i not in pivoted]
-    block = [[A[i].get(j, 0) for j in live_cols] for i in rows]
-    return pivots, rows, live_cols, block, U, V_cols
+    cols = [j for j in range(m) if j not in pivot_cols]
+    block = [[A[i].get(j, 0) for j in cols] for i in rows]
+    return pivots, rows, cols, block, U, V_cols
 
 
-def _dense_smith(M, m, U, V):
-    """(diagonal, V_inv) of the dense n x m block M's Smith form, unverified.
+def _dense_smith(A, m, U, V):
+    """(diagonal, V_inv) of the dense n x m block A's Smith form, unverified.
 
-    Each operation on M is also made, in place, on U, the sparse rows of
-    the whole U that M's rows came from, and on V, the sparse columns of
-    the whole V that M's columns came from.  Every column operation is
-    undone on the rows of V_inv, the block's inverse, so the inverse
-    that ``_certify`` reads costs no elimination.  The pivot is the
-    first entry of least absolute value; a unit pivot ends the scan and
-    needs no divisibility pass.
+    A is reduced in place.  Each operation on A is also made, in place,
+    on U, the sparse rows of the whole U that A's rows came from, and on
+    V, the sparse columns of the whole V that A's columns came from.
+    Every column operation is undone on the rows of V_inv, the block's
+    inverse, so the inverse that ``_certify`` reads costs no elimination.
+    The pivot is the first entry of least absolute value; a unit pivot
+    ends the scan and needs no divisibility pass.
     """
-    n = len(M)
-    A = [[int(x) for x in row] for row in M]
+    n = len(A)
     V_inv = identity(m)
 
     def swap_rows(i, j):

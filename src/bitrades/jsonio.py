@@ -30,8 +30,8 @@ def _triples(doc, key, rows, cols, syms):
         raise ParseError(f'"{key}" must be a list of [row, col, sym] triples')
     # a string or object entry of three characters or keys would unpack into three names
     if set(map(type, raw)) <= {list}:
-        try:
-            return [Triple(rows[r], cols[c], syms[s]) for r, c, s in raw]
+        try:  # each table holds labels of its own role, so Triple's role check is skipped
+            return [tuple.__new__(Triple, (rows[r], cols[c], syms[s])) for r, c, s in raw]
         except (KeyError, TypeError, ValueError):  # an unknown or unhashable name, or not 3
             pass
     for entry in raw:  # name the first entry that is not a triple of known names

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import axiom_oracle
 import scan_oracle
+from bitrades import jsonio
 from bitrades.core import (
     COL,
     ROW,
@@ -170,6 +171,15 @@ class TestValues:
         for args in ((c, r, s), (r, s, c), (r, c, r)):
             with pytest.raises(ValueError, match="roles do not match"):
                 Triple(*args)
+
+    def test_loaded_triples_are_triples(self, ex45):
+        # loads builds its triples from per-role name tables, without Triple's role
+        # check; Triple(...) runs it again on each
+        T = jsonio.loads(jsonio.dumps(ex45))
+        assert T.star + T.delta
+        for got, want in zip(T.star + T.delta, ex45.star + ex45.delta):
+            assert type(got) is Triple and got == Triple(*got) == want
+            assert (got.row.role, got.col.role, got.sym.role) == (ROW, COL, SYM)
 
     def test_plain_tuples(self, ex45):
         t = ex45.star[0]

@@ -88,6 +88,35 @@ def test_relation_and_subgroup_matrices_match_oracle(bitrades_under_test, monkey
         assert got <= want, (kind, got, want)
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_shuffled_relation_matrices_match_oracle(bitrades_under_test, seed):
+    # row order picks the unit pivots, so every order of B's rows and columns
+    # must still give the one diagonal and a form the dense certificate accepts
+    rng = random.Random(seed)
+    for T in bitrades_under_test.values():
+        B, labels = relation_matrix(T)
+        cols = rng.sample(range(len(labels)), len(labels))
+        assert_matches_oracle([[row[j] for j in cols] for row in rng.sample(B, len(B))])
+
+
+def test_pivots_follow_row_order():
+    # row 0 holds no unit.  Row 1's units lie in columns of 2, 3 and 2 nonzeros,
+    # so its pivot is (1, 0), the lower of the two shortest.  That turns row 0
+    # into [0, 0, 1, -2], which is pivoted next, before rows 2 and 3
+    M = [[2, 0, 3, 0],
+         [1, 0, 1, 1],
+         [0, 1, 1, 0],
+         [0, 1, 0, 1]]
+    pivots, rows, cols, block, _, _ = _unit_reduce(_sparse(M), len(M[0]))
+    assert pivots == [(1, 0, 1), (0, 2, 1), (2, 1, 1), (3, 3, -1)]
+    assert rows == cols == block == []
+    # least Markowitz cost (r - 1)(c - 1) would pivot first in row 2 or 3, at cost 1
+    cost = {(i, j): (sum(map(bool, row)) - 1) * (sum(1 for r in M if r[j]) - 1)
+            for i, row in enumerate(M) for j, x in enumerate(row) if abs(x) == 1}
+    assert min(cost.values()) == 1 and cost[1, 0] == 2
+    assert_matches_oracle(M)
+
+
 def test_phase_one_leaves_no_unit_in_the_block(bitrades_under_test):
     # each unit pivot puts a 1 on the diagonal, so there are at most rank B of them
     for name, T in bitrades_under_test.items():
