@@ -4,7 +4,9 @@ A bitrade is a pair of disjoint triple sets (star, delta) over row,
 column and symbol labels, satisfying the exchange axioms R1-R3: the two
 sets are disjoint, and for every triple of one set and every pair of
 coordinates there is exactly one triple of the other set agreeing in
-that pair.
+that pair.  That triple is the partner of the triple at the third, free
+coordinate j, the one coordinate where the two may differ; the paper's
+permutations mu, nu and tau_j step from partner to partner.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import NamedTuple
 
 ROW, COL, SYM = 0, 1, 2
 ROLE_NAMES = ("row", "col", "sym")
-PAIRS = ((0, 1), (0, 2), (1, 2))
+PAIRS = ((0, 1), (0, 2), (1, 2))  # the coordinate pairs that AxiomViolation names
+_OFF = (itemgetter(1, 2), itemgetter(0, 2), itemgetter(0, 1))  # _OFF[j](t): t's key off j
 
 
 class BitradeError(Exception):
@@ -85,23 +88,24 @@ class Triple(tuple):
 
 
 class Bitrade:
-    """A validated latin bitrade with pair-lookup indexes.
+    """A validated latin bitrade with partner indexes keyed by the free coordinate.
 
-    Immutable after construction; use :func:`build_bitrade`.  Three
-    derived values are kept on it, each computed on first use: whether it
-    is indecomposable; and, by ``solver``, the certified Smith form of its
-    relation matrix, the one factorisation of B that every pointed solve,
-    G(T), H(T) and every deleted-column minor read, and each solved
-    pivot's checked answer to Eq(T, a), held as plain values that do not
-    refer back to the bitrade.
+    ``star_partner(t, j)`` and ``delta_partner(t, j)`` are the only readers
+    of the indexes.  Immutable after construction; use
+    :func:`build_bitrade`.  Three derived values are kept on it, each
+    computed on first use: whether it is indecomposable; and, by
+    ``solver``, the certified Smith form of its relation matrix, the one
+    factorisation of B that every pointed solve, G(T), H(T) and every
+    deleted-column minor read, and each solved pivot's checked answer to
+    Eq(T, a), held as plain values that do not refer back to the bitrade.
     """
 
-    def __init__(self, star, delta, universes, star_pair, delta_pair, star_set, delta_set):
+    def __init__(self, star, delta, universes, star_index, delta_index, star_set, delta_set):
         self.star = star  # tuple, canonical (row, col) order
         self.delta = delta
         self.universes = universes  # (rows, cols, syms), tuples of Label
-        self._star_pair = star_pair  # {pair: {(value, value): Triple}}
-        self._delta_pair = delta_pair
+        self._star_index = star_index  # [j] -> {_OFF[j](t): t}
+        self._delta_index = delta_index
         self._star_set = star_set  # frozensets of star and delta
         self._delta_set = delta_set
         self._relation_smith = None  # (labels, SmithForm of B), set by solver
@@ -147,15 +151,13 @@ class Bitrade:
     def in_delta(self, t):
         return t in self._delta_set
 
-    def star_partner(self, triple, pair):
-        """The unique star triple agreeing with `triple` in both coordinates of `pair`."""
-        return self._star_pair[pair][(triple[pair[0]], triple[pair[1]])]
+    def star_partner(self, t, j):
+        """The star triple agreeing with `t` off coordinate j, or None."""
+        return self._star_index[j].get(_OFF[j](t))
 
-    def delta_partner(self, triple, pair):
-        return self._delta_pair[pair][(triple[pair[0]], triple[pair[1]])]
-
-    def delta_pair_key(self, pair, key):
-        return self._delta_pair[pair].get(key)
+    def delta_partner(self, t, j):
+        """The delta triple agreeing with `t` off coordinate j, or None."""
+        return self._delta_index[j].get(_OFF[j](t))
 
     def __repr__(self):
         return f"Bitrade(size={self.size}, shape={tuple(len(u) for u in self.universes)})"
@@ -164,13 +166,14 @@ class Bitrade:
 def build_bitrade(star, delta):
     """Validate R1-R3 and build an indexed Bitrade.
 
-    R2 and R3 hold iff, for each coordinate pair (a, b), neither side
-    repeats a key (t[a], t[b]) and both sides have the same keys: a key
-    that one side repeats gives some triple two partners or none, and a
-    key of one side only gives its triple none.  The key dicts are kept
-    as the partner indexes.  R3 pairs each delta triple with a star
-    triple in (row, col) and in (row, sym), so every delta label is a
-    star label, and the universes are the star's labels.
+    R2 and R3 hold iff, for each free coordinate j, neither side repeats
+    a key _OFF[j](t), t's two coordinates other than j, and both sides
+    have the same keys: a key that one side repeats gives some triple two
+    partners or none, and a key of one side only gives its triple none.
+    The key dicts, one per j and side, are kept as the partner indexes.
+    R3 pairs each delta triple with a star triple in (row, col) and in
+    (row, sym), so every delta label is a star label, and the universes
+    are the star's labels.
 
     Raises EmptyInput, ValueError (duplicates, label inconsistencies) or
     AxiomViolation with the first violated axiom, witness triple and
@@ -191,17 +194,17 @@ def build_bitrade(star, delta):
         q = next(q for q in delta if q in star_set)
         raise AxiomViolation("R1", q, detail="triple occurs in both star and delta")
 
-    star_cols, delta_cols = tuple(zip(*star)), tuple(zip(*delta))
-    star_pair, delta_pair = {}, {}
-    for a, b in PAIRS:
-        sp = dict(zip(zip(star_cols[a], star_cols[b]), star))
-        dp = dict(zip(zip(delta_cols[a], delta_cols[b]), delta))
-        if len(sp) != len(star) or len(dp) != len(delta) or sp.keys() != dp.keys():
+    star_index, delta_index = [], []
+    for off in _OFF:
+        si = dict(zip(map(off, star), star))
+        di = dict(zip(map(off, delta), delta))
+        if len(si) != len(star) or len(di) != len(delta) or si.keys() != di.keys():
             raise _first_violation(star, delta)
-        star_pair[a, b], delta_pair[a, b] = sp, dp
+        star_index.append(si)
+        delta_index.append(di)
 
     universes = []
-    for role, column in enumerate(star_cols):
+    for role, column in enumerate(zip(*star)):
         # no delta label is missing here: R3 put each one in the star
         labels = sorted(set(column))
         if len({lab.index for lab in labels}) != len(labels):
@@ -209,7 +212,7 @@ def build_bitrade(star, delta):
         if len({lab.name for lab in labels}) != len(labels):
             raise ValueError(f"duplicate {ROLE_NAMES[role]} label name")
         universes.append(tuple(labels))
-    return Bitrade(tuple(star), tuple(delta), tuple(universes), star_pair, delta_pair,
+    return Bitrade(tuple(star), tuple(delta), tuple(universes), star_index, delta_index,
                    star_set, delta_set)
 
 
@@ -239,18 +242,14 @@ def mu(T, r, s, c):
     """
     if r == s:
         raise ValueError("mu needs two distinct coordinates")
-    t = 3 - r - s
-    d = T.star_partner(c, (min(t, r), max(t, r)))
-    return T.delta_partner(d, (min(t, s), max(t, s)))
+    return T.delta_partner(T.star_partner(c, s), r)
 
 
 def nu(T, r, s, a):
     """The dual permutation nu_{r,s} of star (0-based coordinates)."""
     if r == s:
         raise ValueError("nu needs two distinct coordinates")
-    t = 3 - r - s
-    b = T.delta_partner(a, (min(t, r), max(t, r)))
-    return T.star_partner(b, (min(t, s), max(t, s)))
+    return T.star_partner(T.delta_partner(a, s), r)
 
 
 def tau(T, j, a):
@@ -276,14 +275,14 @@ def is_indecomposable(T):
     frontier = [("star", start)]
     while frontier:
         kind, t = frontier.pop()
-        for pair in PAIRS:
+        for j in range(3):
             if kind == "star":
-                q = T.delta_partner(t, pair)
+                q = T.delta_partner(t, j)
                 if q not in seen_delta:
                     seen_delta.add(q)
                     frontier.append(("delta", q))
             else:
-                p = T.star_partner(t, pair)
+                p = T.star_partner(t, j)
                 if p not in seen_star:
                     seen_star.add(p)
                     frontier.append(("star", p))

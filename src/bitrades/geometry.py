@@ -6,13 +6,15 @@ spherical bitrade with a separated solution these triangles dissect the
 outer triangle of the pivot.  The reverse direction recovers a pointed
 bitrade from a dissection.
 
-The verifier, the extractor and the renderer scale every line value by
-one common denominator n once and work on integers; ``Fraction``
-appears only in what they return.  The verifier works on the three line
-values (h, v, d) alone.  An upright triangle (d > h + v) is the open set y > h,
-x > v, x + y < d; an inverted one (d < h + v) is y < h, x < v, x + y > d.
-Eliminating x and y from the six strict half-planes of two such
-triangles (Fourier-Motzkin) leaves one test per orientation pair: two
+The verifier, the extractor and the renderer work on integers, every
+line value times one common denominator n: the verifier and the renderer
+read the solution's values over its width, and the extractor scales its
+input once.  ``Fraction`` appears only in what they return.  The
+verifier works on the three line values (h, v, d) alone.  An upright
+triangle (d > h + v) is the open set y > h, x > v, x + y < d; an
+inverted one (d < h + v) is y < h, x < v, x + y > d.  Eliminating x
+and y from the six strict half-planes of two such triangles
+(Fourier-Motzkin) leaves one test per orientation pair: two
 upright triangles overlap iff max(h) + max(v) < min(d); two inverted
 ones iff min(h) + min(v) > max(d); an upright u and an inverted w iff
 u.h < w.h, u.v < w.v and w.d < u.d.  A triangle lies in the outer one
@@ -193,11 +195,11 @@ def _report(n, outer, lines):
     )
 
 
-def verify_dissection(sol, tris=None):
+def verify_dissection(sol):
     """Check that the triangles of a solution dissect the outer triangle."""
-    if tris is None:
-        tris = triangles(sol)
-    n, (outer, *lines) = _scale([outer_triangle(sol).lines, *(t.lines for t in tris)])
+    n, value = sol.scaled
+    outer, *lines = [(value[t.row], value[t.col], value[t.sym])
+                     for t in (sol.pivot, *sol.bitrade.delta)]
     return _report(n, outer, lines)
 
 
@@ -206,14 +208,13 @@ def dissect(sol):
     ok, witness = is_separated_solution(sol)
     if not ok:
         raise NotSeparatedSolution(witness)
-    tris = triangles(sol)
-    report = verify_dissection(sol, tris)
+    report = verify_dissection(sol)
     if not report.is_dissection:
         raise InternalCheckFailed(
             "separated solution did not produce a dissection; "
             f"report: {report}"
         )
-    return tris, report
+    return triangles(sol), report
 
 
 def extract_bitrade(line_triples):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .core import (
     COL,
-    PAIRS,
     ROW,
     SYM,
     Bitrade,
@@ -33,8 +32,6 @@ from .solver import (
     near_values,
     solve_pointed,
 )
-
-PAIR_WITHOUT = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
 class SpliceIdentityFailure(InternalCheckFailed):
@@ -68,7 +65,6 @@ class Trigon:
     corners: tuple  # delta triples, corners[j] differs from c exactly at j
     alphas: tuple  # star triples, alphas[j] differs from c exactly at j
     arc_lengths: tuple  # k_j with tau_j^{k_j}(alpha_{j-1}) = alpha_{j+1}
-    cycle_lengths: tuple  # lengths of the tau_j cycles carrying the arcs
 
 
 def trigon_at(T, c):
@@ -77,13 +73,12 @@ def trigon_at(T, c):
         return None
     corners = []
     for j in range(3):
-        pair = PAIR_WITHOUT[j]
-        q = T.delta_pair_key(pair, (c[pair[0]], c[pair[1]]))
+        q = T.delta_partner(c, j)
         if q is None or q[j] == c[j]:
             return None
         corners.append(q)
-    alphas = [T.star_partner(corners[j], PAIR_WITHOUT[j]) for j in range(3)]
-    ks, ls = [], []
+    alphas = [T.star_partner(corners[j], j) for j in range(3)]
+    ks = []
     for j in range(3):
         cycle = tau_cycle(T, j, alphas[(j - 1) % 3])
         target = alphas[(j + 1) % 3]
@@ -93,20 +88,22 @@ def trigon_at(T, c):
         if not 2 <= k < len(cycle):
             raise InternalCheckFailed(f"trigon arc bounds violated at {c}")
         ks.append(k)
-        ls.append(len(cycle))
-    return Trigon(c, tuple(corners), tuple(alphas), tuple(ks), tuple(ls))
+    return Trigon(c, tuple(corners), tuple(alphas), tuple(ks))
 
 
 def find_trigons(T):
-    """All trigons, found by joining the delta pair indexes."""
-    keys01 = {(q.row, q.col) for q in T.delta}
-    keys02 = {(q.row, q.sym) for q in T.delta}
-    keys12 = {(q.col, q.sym) for q in T.delta}
+    """All trigons, in canonical order.
+
+    A trigon's corner at coordinate 2 is a delta triple with its row and
+    column, so the candidates are each delta triple's row and column with
+    every symbol; trigon_at runs where the other two corners exist.
+    """
     out = []
-    for r, c in sorted(keys01):
+    for q in T.delta:
         for s in T.syms:
-            if (r, s) in keys02 and (c, s) in keys12:
-                tg = trigon_at(T, Triple(r, c, s))
+            c = Triple(q.row, q.col, s)
+            if T.delta_partner(c, 0) is not None and T.delta_partner(c, 1) is not None:
+                tg = trigon_at(T, c)
                 if tg is not None:
                     out.append(tg)
     return out
@@ -143,8 +140,7 @@ def _edge_id(T, x, j):
     The edge lies between the cyclic face of label x[j] and the
     triangular face of the delta triple adjacent to both endpoints.
     """
-    pair = tuple(sorted((j, (j + 1) % 3)))
-    return (j, T.delta_partner(x, pair))
+    return (j, T.delta_partner(x, (j + 2) % 3))
 
 
 def _flood_inner(T, tg):
@@ -177,7 +173,7 @@ def _flood_inner(T, tg):
                         seen_tri.add(q2)
                         frontier.append(q2)
 
-    inner_points = {T.star_partner(q, pair) for q in seen_tri for pair in PAIRS}
+    inner_points = {T.star_partner(q, j) for q in seen_tri for j in range(3)}
     for lab in seen_cyc:
         start = next(p for p in T.star if p[lab.role] == lab)
         inner_points.update(tau_cycle(T, lab.role, start))
@@ -267,7 +263,7 @@ def _locate_trigon(pointed, sol, b, j):
             f"labels at coordinate {j} are equal or already separated"
         )
 
-    eta = [T.delta_partner(a, PAIR_WITHOUT[t]) for t in range(3)]
+    eta = [T.delta_partner(a, t) for t in range(3)]
     r_coord, s_coord = (j + 2) % 3, (j + 1) % 3  # mu_{j-1,j+1} in 0-based form
     cycle = [eta[r_coord]]
     x = mu(T, r_coord, s_coord, cycle[0])

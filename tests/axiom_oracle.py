@@ -1,6 +1,6 @@
 """The per-triple search for R1-R3, kept as an oracle for ``build_bitrade``.
 
-``build_bitrade`` checks R2 and R3 as equal sets of pair keys and
+``build_bitrade`` checks R2 and R3 as equal sets of partner keys and
 searches for a witness only when that check fails.  This oracle lists
 every triple agreeing in each coordinate pair (``raw_index``) and walks
 the star (R2), then the delta (R3), triple by triple, so it names the

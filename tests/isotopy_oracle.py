@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from bitrades.core import (
-    COL, PAIRS, ROW, SYM, BitradeError, Triple, build_bitrade, is_separated_bitrade, nu,
+    COL, ROW, SYM, BitradeError, Triple, build_bitrade, is_separated_bitrade, nu,
     tau_cycle,
 )
 
@@ -48,7 +48,7 @@ def semidual_faces(T):
             cyclic[lab] = tuple(tau_cycle(T, role, start))
     triangular = {}
     for c in T.delta:
-        triangular[c] = tuple(T.star_partner(c, pair) for pair in PAIRS)
+        triangular[c] = tuple(T.star_partner(c, j) for j in range(3))
     return SemidualFaces(cyclic, triangular)
 
 
@@ -78,11 +78,11 @@ def is_isotopic(T, S):
                     return False
                 mapping[pl] = ql
             current[p] = q
-            for pair in PAIRS:
+            for j in range(3):
                 if kind == "star":
-                    queue.append(("delta", T.delta_partner(p, pair), S.delta_partner(q, pair)))
+                    queue.append(("delta", T.delta_partner(p, j), S.delta_partner(q, j)))
                 else:
-                    queue.append(("star", T.star_partner(p, pair), S.star_partner(q, pair)))
+                    queue.append(("star", T.star_partner(p, j), S.star_partner(q, j)))
         return True
 
     def extend(mapping, star_map, delta_map):

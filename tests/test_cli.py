@@ -199,8 +199,8 @@ class TestDissect:
 
     def test_not_a_dissection_exit_6(self, corpus_dir, capsys, monkeypatch):
         verify = geometry.verify_dissection
-        monkeypatch.setattr(geometry, "verify_dissection", lambda sol, tris: dataclasses.replace(
-            verify(sol, tris), pairwise_disjoint=False, is_dissection=False))
+        monkeypatch.setattr(geometry, "verify_dissection", lambda sol: dataclasses.replace(
+            verify(sol), pairwise_disjoint=False, is_dissection=False))
         code, _, err = run(capsys, "dissect", str(corpus_dir / "ex45.json"))
         assert code == 6 and "did not produce a dissection" in err
 

@@ -11,6 +11,7 @@ import scan_oracle
 from bitrades import jsonio
 from bitrades.core import (
     COL,
+    PAIRS,
     ROW,
     SYM,
     AxiomViolation,
@@ -107,7 +108,10 @@ def outcome(validate, star, delta):
 def kept(star, delta):
     T = build_bitrade(star, delta)
     assert (T._star_set, T._delta_set) == (frozenset(T.star), frozenset(T.delta))
-    return T.star, T.delta, T.universes, T._star_pair, T._delta_pair
+    # the partner index at free coordinate j is the oracle's at the pair without j
+    return (T.star, T.delta, T.universes,
+            *({PAIRS[2 - j]: index for j, index in enumerate(side)}
+              for side in (T._star_index, T._delta_index)))
 
 
 def assert_agrees_with_axiom_oracle(star, delta):
@@ -129,7 +133,7 @@ CUBE_CORNER = Triple(*(u[0] for u in CUBE))
 
 
 class TestAgainstAxiomOracle:
-    """build_bitrade checks R2 and R3 as equal pair-key sets and searches for a
+    """build_bitrade checks R2 and R3 as equal partner-key sets and searches for a
     witness only on failure; the per-triple oracle must agree on every input."""
 
     @given(recipes)
@@ -251,6 +255,46 @@ class TestPermutations:
     def test_nu_rejects_equal_coordinates(self, intercalate):
         with pytest.raises(ValueError):
             nu(intercalate, 1, 1, intercalate.star[0])
+
+
+class TestPartnersAgainstScan:
+    """The partner lookups, mu and nu equal the definition: a scan of the other
+    side for the triple agreeing off the free coordinate."""
+
+    @pytest.fixture(scope="class")
+    def bitrades(self, spherical_corpus, seeded_spherical, connected_sums, toroidal,
+                 toroidal_swapped):
+        return [*spherical_corpus.values(), *seeded_spherical,
+                *(T for T, _ in connected_sums), toroidal, toroidal_swapped]
+
+    def test_partners(self, bitrades):
+        for T in bitrades:
+            for side, other, partner in ((T.star, T.delta, T.delta_partner),
+                                         (T.delta, T.star, T.star_partner)):
+                for t in side:
+                    for j in range(3):
+                        found = partner(t, j)
+                        assert found is not None and found == scan_oracle.scan_partner(other, t, j)
+
+    def test_misses(self, bitrades):
+        # the cells that find_trigons probes: a delta triple's row and column, any symbol
+        for T in bitrades:
+            for q in T.delta:
+                for s in T.syms:
+                    c = Triple(q.row, q.col, s)
+                    for j in range(3):
+                        assert T.delta_partner(c, j) == scan_oracle.scan_partner(T.delta, c, j)
+                        assert T.star_partner(c, j) == scan_oracle.scan_partner(T.star, c, j)
+
+    def test_mu_nu(self, bitrades):
+        for T in bitrades:
+            for r in range(3):
+                for s in range(3):
+                    if r != s:
+                        for c in T.delta:
+                            assert mu(T, r, s, c) == scan_oracle.scan_mu(T, r, s, c)
+                        for a in T.star:
+                            assert nu(T, r, s, a) == scan_oracle.scan_nu(T, r, s, a)
 
 
 class TestMetrics:

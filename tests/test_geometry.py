@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import geometry_oracle
 import pivot_oracle
-from bitrades import jsonio
-from bitrades.core import BitradeError, InternalCheckFailed
+from bitrades import jsonio, solver
+from bitrades.core import BitradeError, InternalCheckFailed, build_bitrade
 from bitrades.geometry import (
     NotSeparatedSolution,
     TriangleGeom,
@@ -127,6 +127,19 @@ class TestDissect:
         report = verify_dissection(sol)
         assert not report.is_dissection
 
+    def test_verify_builds_no_fraction(self, ex45, monkeypatch):
+        # the verifier reads the solution's integers over its width, not its Fractions
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(solver, "Fraction", counting)
+        sol = solve(build_bitrade(ex45.star, ex45.delta), "r0", "c0", "s4")
+        assert verify_dissection(sol).is_separated_dissection
+        assert built == []
+
 
 class TestExtract:
     def test_round_trip_all_separated_pivots(self, spherical_corpus, connected_sums):
@@ -215,7 +228,7 @@ class TestNegativeVerdicts:
         return solve(intercalate, "r0", "c0", "s0")
 
     def check(self, sol, tris):
-        report = verify_dissection(sol, tris)
+        report = integer_report(outer_triangle(sol), tris)
         assert report == geometry_oracle.verify_dissection(sol, tris)
         assert report == geometry_oracle.clip_verify_dissection(sol, tris)
         return report
@@ -284,9 +297,9 @@ def test_verdicts_match_clipping_oracle(seed, n):
             assert interval_contains(outer, t) == contained
             assert integer_report(outer, [t]).contained == contained
     i = rng.randrange(n)
-    assert verify_dissection(sol, tris).is_separated_dissection
+    assert verify_dissection(sol).is_separated_dissection
     for subset in (tris, everything, tris[:i] + [copies[i]] + tris[i + 1:]):
-        report = verify_dissection(sol, subset)
+        report = integer_report(sigma, subset)
         assert report == geometry_oracle.verify_dissection(sol, subset)
         assert report == geometry_oracle.clip_verify_dissection(sol, subset)
 
@@ -311,7 +324,7 @@ class TestAgainstFractionOracle:
             copies = translated_copies(rng, tris)
             i = rng.randrange(len(tris))
             for subset in (copies, tris + copies, tris[:i] + [copies[i]] + tris[i + 1:]):
-                report = verify_dissection(sol, subset)
+                report = integer_report(outer_triangle(sol), subset)
                 assert report == geometry_oracle.verify_dissection(sol, subset)
                 assert type(report.area_total) is type(report.area_outer) is Fraction
 

@@ -8,7 +8,7 @@ import pytest
 
 import bitrades
 from bitrades import trigons
-from bitrades.core import COL, ROW, SYM, Triple, metrics, tau
+from bitrades.core import COL, ROW, SYM, Triple, metrics, tau, tau_cycle
 from bitrades.groups import canonical_images
 from bitrades.solver import PointedBitrade, induced_homotopy, solve_pointed
 from bitrades.trigons import (
@@ -66,15 +66,17 @@ class TestFindTrigons:
             assert alpha[j] != c[j]
             assert all(alpha[t] == c[t] for t in range(3) if t != j)
 
-    def test_arc_bounds(self, nested_trigon):
-        for k, l in zip(nested_trigon.arc_lengths, nested_trigon.cycle_lengths):
-            assert 2 <= k < l
+    def test_arc_bounds(self, nested, nested_trigon):
+        alphas = nested_trigon.alphas
+        for j, k in enumerate(nested_trigon.arc_lengths):
+            assert 2 <= k < len(tau_cycle(nested.bitrade, j, alphas[(j - 1) % 3]))
 
-    def test_agrees_with_bruteforce(self, spherical_corpus, toroidal):
-        for T in list(spherical_corpus.values()) + [toroidal]:
-            fast = [t.triple for t in find_trigons(T)]
-            slow = [t.triple for t in scan_trigons_bruteforce(T)]
-            assert sorted(fast) == sorted(slow)
+    def test_agrees_with_bruteforce(self, spherical_corpus, seeded_spherical, connected_sums,
+                                    toroidal, toroidal_swapped):
+        # as lists, so the order is checked too
+        for T in [*spherical_corpus.values(), *seeded_spherical,
+                  *(T for T, _ in connected_sums), toroidal, toroidal_swapped]:
+            assert find_trigons(T) == scan_trigons_bruteforce(T)
 
     def test_star_triple_is_not_trigon(self, nested):
         assert trigon_at(nested.bitrade, nested.bitrade.star[0]) is None
