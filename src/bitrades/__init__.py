@@ -20,12 +20,10 @@ from .core import (
 )
 from .geometry import (
     NotSeparatedSolution,
-    TriangleGeom,
     ValenceSix,
     dissect,
     extract_bitrade,
     to_svg,
-    triangles,
     verify_dissection,
 )
 from .groups import (

@@ -349,7 +349,7 @@ def metrics(T):
     m = o1 + o2 + o3
     chi = m - s
     if m > s + 2 and T.indecomposable:
-        raise BitradeError(
+        raise InternalCheckFailed(
             f"m = {m} > size + 2 = {s + 2} on an indecomposable input; "
             "this cannot happen for a latin bitrade"
         )

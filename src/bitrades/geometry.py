@@ -6,11 +6,12 @@ spherical bitrade with a separated solution these triangles dissect the
 outer triangle of the pivot.  The reverse direction recovers a pointed
 bitrade from a dissection.
 
-The verifier, the extractor and the renderer work on integers, every
-line value times one common denominator n: the verifier and the renderer
-read the solution's values over its width, and the extractor scales its
-input once.  ``Fraction`` appears only in what they return.  The
-verifier works on the three line values (h, v, d) alone.  An upright
+A triangle is its integer line triple (h, v, d): its three line values
+times one common denominator n.  ``dissect``, the verifier and the
+renderer read the solution's values over its width, and the extractor
+scales its input once.  ``Fraction`` appears only in the report's areas
+and six-corner points and in the points that the extractor's errors
+name.  The verifier works on the three line values alone.  An upright
 triangle (d > h + v) is the open set y > h, x > v, x + y < d; an
 inverted one (d < h + v) is y < h, x < v, x + y > d.  Eliminating x
 and y from the six strict half-planes of two such triangles
@@ -26,7 +27,6 @@ edges and shared vertices included.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -42,7 +42,7 @@ from .core import (
     Triple,
     build_bitrade,
 )
-from .solver import PointedBitrade, is_separated_solution
+from .solver import PointedBitrade, _to_width, is_separated_solution
 
 
 class NotSeparatedSolution(BitradeError):
@@ -63,51 +63,6 @@ class ValenceSix(BitradeError):
 
 
 @dataclass(frozen=True)
-class TriangleGeom:
-    """A triangle cut out by a horizontal, a vertical and a diagonal line."""
-
-    source: object  # Triple, or None for free-standing triangles
-    lines: tuple  # (horizontal y, vertical x, diagonal x + y), Fractions
-
-    @property
-    def corners(self):
-        return _corners(*self.lines)
-
-    @property
-    def degenerate(self):
-        c1, c2, c3 = self.lines
-        return c1 + c2 == c3
-
-    @property
-    def upright(self):
-        c1, c2, c3 = self.lines
-        return c3 > c1 + c2
-
-    @property
-    def leg(self):
-        c1, c2, c3 = self.lines
-        return abs(c3 - c1 - c2)
-
-    @property
-    def area(self):
-        return self.leg * self.leg / 2
-
-
-def triangles(sol):
-    """One triangle per delta triple, from the solution values."""
-    v = sol.values
-    return [
-        TriangleGeom(q, (v[q.row], v[q.col], v[q.sym])) for q in sol.bitrade.delta
-    ]
-
-
-def outer_triangle(sol):
-    v = sol.values
-    a = sol.pivot
-    return TriangleGeom(a, (v[a.row], v[a.col], v[a.sym]))
-
-
-@dataclass(frozen=True)
 class DissectionReport:
     contained: bool
     non_degenerate: bool
@@ -125,14 +80,12 @@ def _corners(h, v, d):
     return (v, h), (v, d - v), (d - h, h)
 
 
-def _scale(line_triples):
-    """(n, integer triples): the line values times n, the lcm of their denominators."""
-    # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
-    n = functools.reduce(math.lcm, {x.denominator for t in line_triples for x in t}, 1)
-
-    def scaled(x):
-        return x.numerator * (n // x.denominator)
-    return n, [(scaled(h), scaled(v), scaled(d)) for h, v, d in line_triples]
+def _lines(sol):
+    """(n, outer, lines): the pivot's and each delta triple's (h, v, d) times the width n."""
+    n, value = sol.scaled
+    outer, *lines = [(value[t.row], value[t.col], value[t.sym])
+                     for t in (sol.pivot, *sol.bitrade.delta)]
+    return n, outer, lines
 
 
 def _contiguous(intervals):
@@ -197,24 +150,28 @@ def _report(n, outer, lines):
 
 def verify_dissection(sol):
     """Check that the triangles of a solution dissect the outer triangle."""
-    n, value = sol.scaled
-    outer, *lines = [(value[t.row], value[t.col], value[t.sym])
-                     for t in (sol.pivot, *sol.bitrade.delta)]
-    return _report(n, outer, lines)
+    return _report(*_lines(sol))
 
 
 def dissect(sol):
-    """Triangles plus verification; raises if the solution is not separated."""
+    """(lines, report): the triangles and their verification.
+
+    ``lines`` holds each delta triple's integer (h, v, d) over the width
+    ``sol.scaled[0]``, in delta order.  ``extract_bitrade(lines)`` accepts
+    them, since extraction does not change under scaling.  Raises
+    NotSeparatedSolution if the solution is not separated.
+    """
     ok, witness = is_separated_solution(sol)
     if not ok:
         raise NotSeparatedSolution(witness)
-    report = verify_dissection(sol)
+    n, outer, lines = _lines(sol)
+    report = _report(n, outer, lines)
     if not report.is_dissection:
         raise InternalCheckFailed(
             "separated solution did not produce a dissection; "
             f"report: {report}"
         )
-    return triangles(sol), report
+    return lines, report
 
 
 def extract_bitrade(line_triples):
@@ -225,8 +182,8 @@ def extract_bitrade(line_triples):
     delta; interior vertices and the outer triple become the star.  The
     pivot is the outer triple.
     """
-    n, lines = _scale([[x if type(x) in (int, Fraction) else Fraction(x) for x in t]
-                       for t in line_triples])
+    n, lines = _to_width([[x if type(x) in (int, Fraction) else Fraction(x) for x in t]
+                          for t in line_triples])
     if any(h + v == d for h, v, d in lines):
         raise BitradeError("degenerate triangle in dissection input")
 
@@ -269,7 +226,7 @@ def to_svg(sol, labels=False):
     The affine map sends (x, y) to (x + y/2, sqrt(3) y / 2); SVG's
     downward y axis is flipped so the outer triangle sits point-up.
     """
-    n, value = sol.scaled
+    n, outer, lines = _lines(sol)
     height = math.sqrt(3) / 2
     margin = SVG_SIDE * 0.02
 
@@ -289,11 +246,9 @@ def to_svg(sol, labels=False):
 
     if labels:  # imported here: xml.sax.saxutils imports urllib.request and ssl
         from xml.sax.saxutils import escape
-    a = sol.pivot
-    parts.append(f'<polygon points="{pts(_corners(value[a.row], value[a.col], value[a.sym]))}" '
+    parts.append(f'<polygon points="{pts(_corners(*outer))}" '
                  'fill="none" stroke="black" stroke-width="2"/>')
-    for q in sorted(sol.bitrade.delta):
-        h, v, d = value[q.row], value[q.col], value[q.sym]
+    for q, (h, v, d) in zip(sol.bitrade.delta, lines):
         corners = _corners(h, v, d)
         fill = "#cfe8ff" if d > h + v else "#ffe3c2"
         parts.append(

@@ -116,9 +116,8 @@ class Solution:
     @functools.cached_property
     def scaled(self):
         """(n, {label: n * value}): the values as integers over their lcm denominator n."""
-        # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
-        n = functools.reduce(math.lcm, {v.denominator for v in self.values.values()}, 1)
-        return n, {lab: v.numerator * (n // v.denominator) for lab, v in self.values.items()}
+        n, (scaled,) = _to_width([self.values.values()])
+        return n, dict(zip(self.values, scaled))
 
     def width(self):
         """Least common multiple of the value denominators (always >= 2)."""
@@ -126,6 +125,13 @@ class Solution:
         if n < 2:
             raise InternalCheckFailed(f"solution width {n} is below 2")
         return n
+
+
+def _to_width(rows):
+    """(n, [tuple of n * x for each row]): rational rows over n, the lcm of their denominators."""
+    # pairwise: math.lcm(*many) leaks memory on CPython 3.11 and 3.12
+    n = functools.reduce(math.lcm, {x.denominator for row in rows for x in row}, 1)
+    return n, [tuple(x.numerator * (n // x.denominator) for x in row) for row in rows]
 
 
 def _relation_smith(T):

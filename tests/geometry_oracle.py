@@ -1,9 +1,11 @@
 """Slow reference paths for the integer geometry of ``bitrades.geometry``.
 
-``verify_dissection``, ``extract_bitrade`` and ``to_svg`` are the
-``Fraction`` versions that the integer kernels replaced: the same
-interval algebra, extraction and drawing, on the rational line values
-themselves.  ``clip_polygon`` is Sutherland-Hodgman clipping of a
+``TriangleGeom`` is a triangle of ``Fraction`` line values, and
+``triangles`` and ``outer_triangle`` read a solution's delta triples and
+pivot as such.  ``verify_dissection``, ``extract_bitrade`` and
+``to_svg`` are the ``Fraction`` versions that the integer kernels
+replaced: the same interval algebra, extraction and drawing, on the
+rational line values themselves.  ``clip_polygon`` is Sutherland-Hodgman clipping of a
 polygon by a convex polygon in exact arithmetic.  Two triangles overlap
 when their clipped intersection has nonzero area; a triangle is
 contained in another when clipping it to the other leaves its whole
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
@@ -22,13 +25,56 @@ from bitrades.core import COL, ROW, SYM, BitradeError, Label, Triple, build_bitr
 from bitrades.geometry import (
     SVG_SIDE,
     DissectionReport,
-    TriangleGeom,
     ValenceSix,
     _contiguous,
-    outer_triangle,
-    triangles,
+    _corners,
 )
 from bitrades.solver import PointedBitrade
+
+
+@dataclass(frozen=True)
+class TriangleGeom:
+    """A triangle cut out by a horizontal, a vertical and a diagonal line."""
+
+    source: object  # Triple, or None for free-standing triangles
+    lines: tuple  # (horizontal y, vertical x, diagonal x + y), Fractions
+
+    @property
+    def corners(self):
+        return _corners(*self.lines)
+
+    @property
+    def degenerate(self):
+        c1, c2, c3 = self.lines
+        return c1 + c2 == c3
+
+    @property
+    def upright(self):
+        c1, c2, c3 = self.lines
+        return c3 > c1 + c2
+
+    @property
+    def leg(self):
+        c1, c2, c3 = self.lines
+        return abs(c3 - c1 - c2)
+
+    @property
+    def area(self):
+        return self.leg * self.leg / 2
+
+
+def triangles(sol):
+    """One triangle per delta triple, from the solution values."""
+    v = sol.values
+    return [
+        TriangleGeom(q, (v[q.row], v[q.col], v[q.sym])) for q in sol.bitrade.delta
+    ]
+
+
+def outer_triangle(sol):
+    v = sol.values
+    a = sol.pivot
+    return TriangleGeom(a, (v[a.row], v[a.col], v[a.sym]))
 
 
 def polygon_area(points):

@@ -76,7 +76,7 @@ def test_2_tiling_verifier_all_separated_pivots(spherical_corpus):
             sol = solve_pointed(PointedBitrade(T, pivot))
             if not is_separated_solution(sol)[0]:
                 continue
-            tris, report = dissect(sol)
+            _, report = dissect(sol)
             assert report.contained
             assert report.pairwise_disjoint
             assert report.area_total == Fraction(1, 2)
@@ -93,8 +93,8 @@ def test_3_dissection_round_trip(spherical_corpus):
             sol = solve_pointed(PointedBitrade(T, pivot))
             if not is_separated_solution(sol)[0]:
                 continue
-            tris, _ = dissect(sol)
-            back = extract_bitrade([t.lines for t in tris])
+            lines, _ = dissect(sol)
+            back = extract_bitrade(lines)
             assert is_isotopic(back.bitrade, T) is not None
 
 

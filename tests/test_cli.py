@@ -55,6 +55,16 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", str(tmp_path / "absent.json"))
         assert code == 3
 
+    def test_impossible_metrics_exit_6(self, tmp_path, capsys, monkeypatch, two_intercalates):
+        # m = 12 > size + 2 = 10 is proven impossible on an indecomposable bitrade, so
+        # a wrong indecomposability verdict is an internal check failure
+        path = tmp_path / "two_intercalates.json"
+        jsonio.dump(two_intercalates, path)
+        monkeypatch.setattr(core, "is_indecomposable", lambda T: True)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (6, "")
+        assert err.startswith("error: internal check failed: m = 12 > size + 2 = 10")
+
     @staticmethod
     def bad_inputs(d, intercalate):
         """A star entry with a list for a name, a non-UTF-8 file, a directory,
@@ -198,9 +208,9 @@ class TestDissect:
         assert code == 5 and "separate" in err
 
     def test_not_a_dissection_exit_6(self, corpus_dir, capsys, monkeypatch):
-        verify = geometry.verify_dissection
-        monkeypatch.setattr(geometry, "verify_dissection", lambda sol: dataclasses.replace(
-            verify(sol), pairwise_disjoint=False, is_dissection=False))
+        report = geometry._report
+        monkeypatch.setattr(geometry, "_report", lambda *args: dataclasses.replace(
+            report(*args), pairwise_disjoint=False, is_dissection=False))
         code, _, err = run(capsys, "dissect", str(corpus_dir / "ex45.json"))
         assert code == 6 and "did not produce a dissection" in err
 

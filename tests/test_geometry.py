@@ -15,25 +15,30 @@ from bitrades import jsonio, solver
 from bitrades.core import BitradeError, InternalCheckFailed, build_bitrade
 from bitrades.geometry import (
     NotSeparatedSolution,
-    TriangleGeom,
     ValenceSix,
     _report,
-    _scale,
     dissect,
     extract_bitrade,
-    outer_triangle,
     to_svg,
-    triangles,
     verify_dissection,
 )
-from bitrades.solver import PointedBitrade, relation_matrix, solve_pointed
+from bitrades.solver import (
+    PointedBitrade,
+    _to_width,
+    is_separated_solution,
+    relation_matrix,
+    solve_pointed,
+)
 from conftest import GRID16_LINES, spherical_dissection, triple_by_names
 from geometry_oracle import (
+    TriangleGeom,
     clip_polygon,
     interiors_overlap,
     interval_contains,
     interval_overlap,
+    outer_triangle,
     polygon_area,
+    triangles,
 )
 from isotopy_oracle import is_isotopic
 
@@ -96,12 +101,13 @@ class TestPolygonOps:
 class TestDissect:
     def test_intercalate_triangles(self, intercalate):
         sol = solve(intercalate, "r0", "c0", "s0")
-        tris, report = dissect(sol)
-        assert len(tris) == 4
-        legs = sorted(t.leg for t in tris)
+        n = sol.scaled[0]
+        lines, report = dissect(sol)
+        assert len(lines) == 4 and all(type(x) is int for t in lines for x in t)
+        legs = sorted(Fraction(abs(d - h - v), n) for h, v, d in lines)
         assert legs == [H, H, H, H]
-        assert sum(t.area for t in tris) == H
-        assert sum(1 for t in tris if not t.upright) == 1
+        assert sum(leg * leg / 2 for leg in legs) == H
+        assert sum(1 for h, v, d in lines if d < h + v) == 1
         assert report.is_dissection and report.is_separated_dissection
 
     def test_outer_triangle(self, intercalate):
@@ -128,7 +134,7 @@ class TestDissect:
         assert not report.is_dissection
 
     def test_verify_builds_no_fraction(self, ex45, monkeypatch):
-        # the verifier reads the solution's integers over its width, not its Fractions
+        # the verifier and dissect read the solution's integers over its width, not its Fractions
         built = []
 
         def counting(*args):
@@ -138,6 +144,8 @@ class TestDissect:
         monkeypatch.setattr(solver, "Fraction", counting)
         sol = solve(build_bitrade(ex45.star, ex45.delta), "r0", "c0", "s4")
         assert verify_dissection(sol).is_separated_dissection
+        lines, report = dissect(sol)
+        assert len(lines) == 12 and report.is_separated_dissection
         assert built == []
 
 
@@ -145,8 +153,6 @@ class TestExtract:
     def test_round_trip_all_separated_pivots(self, spherical_corpus, connected_sums):
         # a connected sum is glued without geometry; from each pivot whose solution
         # and dissection are separated, its triangles extract back to the sum
-        from bitrades.solver import is_separated_solution
-
         sums = [T for T, _ in connected_sums]
         round_trips = 0
         for T in [*spherical_corpus.values(), *sums]:
@@ -154,10 +160,10 @@ class TestExtract:
                 sol = solve_pointed(PointedBitrade(T, pivot))
                 if not is_separated_solution(sol)[0]:
                     continue
-                tris, report = dissect(sol)
+                lines, report = dissect(sol)
                 if not report.is_separated_dissection:
                     continue
-                back = extract_bitrade([t.lines for t in tris])
+                back = extract_bitrade(lines)
                 assert is_isotopic(back.bitrade, T) is not None
                 round_trips += T in sums
         assert round_trips
@@ -273,7 +279,7 @@ def translated_copies(rng, tris):
 
 def integer_report(outer, tris):
     """The integer kernel's report on free-standing triangles in any outer one."""
-    n, (outer, *lines) = _scale([outer.lines, *(t.lines for t in tris)])
+    n, (outer, *lines) = _to_width([outer.lines, *(t.lines for t in tris)])
     return _report(n, outer, lines)
 
 
@@ -315,6 +321,10 @@ class TestAgainstFractionOracle:
                 report = verify_dissection(sol)
                 assert report == geometry_oracle.verify_dissection(sol)
                 assert all(type(c) is Fraction for p in report.valence_six_points for c in p)
+                if is_separated_solution(sol)[0]:
+                    n = sol.scaled[0]
+                    assert dissect(sol)[0] == [tuple(n * x for x in t.lines)
+                                               for t in triangles(sol)]
 
     def test_translated_copies(self, seeded_dissections):
         rng = random.Random(5)
