@@ -92,12 +92,12 @@ class Bitrade:
 
     ``star_partner(t, j)`` and ``delta_partner(t, j)`` are the only readers
     of the indexes.  Immutable after construction; use
-    :func:`build_bitrade`.  Three derived values are kept on it, each
-    computed on first use: whether it is indecomposable; and, by
-    ``solver``, the certified Smith form of its relation matrix, the one
-    factorisation of B that every pointed solve, G(T), H(T) and every
-    deleted-column minor read, and each solved pivot's checked answer to
-    Eq(T, a), held as plain values that do not refer back to the bitrade.
+    :func:`build_bitrade`.  Derived values are kept on it, each computed
+    on first use: whether it is indecomposable; its tau cycles, read
+    through ``tau_cycle_at``; and, by ``solver``, the certified Smith form
+    of its relation matrix, the one factorisation of B that every pointed
+    solve, G(T), H(T) and every deleted-column minor read, and each solved
+    pivot's checked answer to Eq(T, a); none of them refers back to it.
     """
 
     def __init__(self, star, delta, universes, star_index, delta_index, star_set, delta_set):
@@ -110,6 +110,7 @@ class Bitrade:
         self._delta_set = delta_set
         self._relation_smith = None  # (labels, SmithForm of B), set by solver
         self._solutions = {}  # pivot -> values or (rank, nullity, status), set by solver
+        self._tau_cycles = ({}, {}, {})  # [j] -> {p: tau_cycle_at(j, p)}, filled as read
 
     @property
     def size(self):
@@ -158,6 +159,16 @@ class Bitrade:
     def delta_partner(self, t, j):
         """The delta triple agreeing with `t` off coordinate j, or None."""
         return self._delta_index[j].get(_OFF[j](t))
+
+    def tau_cycle_at(self, j, p):
+        """(the tau_j cycle through star triple p, one tuple per cycle, and p's
+        position in it); ``tau_cycle`` walks each cycle on its first read only."""
+        where = self._tau_cycles[j]
+        if p not in where:
+            cycle = tuple(tau_cycle(self, j, p))
+            for i, x in enumerate(cycle):
+                where[x] = cycle, i
+        return where[p]
 
     def __repr__(self):
         return f"Bitrade(size={self.size}, shape={tuple(len(u) for u in self.universes)})"
@@ -295,12 +306,12 @@ def is_separated_bitrade(T):
     tau_j fixes coordinate j, so the tau_j cycle through any star triple
     of a label stays among that label's star triples; they form one
     cycle iff that cycle is as long as the label has star triples.  One
-    tau pass over the star per role, building no per-label sets.
+    cycle per label is read, and the first too short one decides.
     """
     for role in (ROW, COL, SYM):
         count = Counter(p[role] for p in T.star)
         start = {p[role]: p for p in T.star}
-        if any(len(tau_cycle(T, role, p)) != count[lab] for lab, p in start.items()):
+        if any(len(T.tau_cycle_at(role, p)[0]) != count[lab] for lab, p in start.items()):
             return False
     return True
 

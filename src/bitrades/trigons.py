@@ -22,8 +22,6 @@ from .core import (
     build_bitrade,
     first_collision,
     mu,
-    tau,
-    tau_cycle,
 )
 from .solver import (
     Homotopy,
@@ -80,12 +78,12 @@ def trigon_at(T, c):
     alphas = [T.star_partner(corners[j], j) for j in range(3)]
     ks = []
     for j in range(3):
-        cycle = tau_cycle(T, j, alphas[(j - 1) % 3])
-        target = alphas[(j + 1) % 3]
-        if target not in cycle:
+        cycle, start = T.tau_cycle_at(j, alphas[j - 1])
+        target_cycle, end = T.tau_cycle_at(j, alphas[(j + 1) % 3])
+        if target_cycle is not cycle:  # one tuple per cycle
             return None
-        k = cycle.index(target)
-        if not 2 <= k < len(cycle):
+        k = (end - start) % len(cycle)
+        if k < 2:
             raise InternalCheckFailed(f"trigon arc bounds violated at {c}")
         ks.append(k)
     return Trigon(c, tuple(corners), tuple(alphas), tuple(ks))
@@ -114,21 +112,15 @@ def _path_steps(T, tg):
 
     Returns (vertices, steps) where steps[i] = (vertices[i], j) means
     vertices[i+1] = tau_j(vertices[i]).  Arc order: alpha_2 --tau_0-->
-    alpha_1 --tau_2--> alpha_0 --tau_1--> alpha_2.
+    alpha_1 --tau_2--> alpha_0 --tau_1--> alpha_2, the tau_j arc being the
+    k_j triples of alpha_{j-1}'s tau_j cycle from alpha_{j-1} on.
     """
     vertices, steps = [], []
-    for j, start, end in (
-        (0, tg.alphas[2], tg.alphas[1]),
-        (2, tg.alphas[1], tg.alphas[0]),
-        (1, tg.alphas[0], tg.alphas[2]),
-    ):
-        x = start
-        while True:
-            vertices.append(x)
-            steps.append((x, j))
-            x = tau(T, j, x)
-            if x == end:
-                break
+    for j in (0, 2, 1):
+        cycle, start = T.tau_cycle_at(j, tg.alphas[j - 1])
+        arc = (cycle[start:] + cycle[:start])[:tg.arc_lengths[j]]
+        vertices += arc
+        steps += [(x, j) for x in arc]
     if len(set(vertices)) != len(vertices):
         raise SpliceIdentityFailure("path around the trigon is not simple")
     return vertices, steps
@@ -149,34 +141,31 @@ def _flood_inner(T, tg):
     A flood fill finds the faces: face nodes are cyclic faces (labels)
     and triangular faces (delta triples); each semidual edge joins one of
     each.  The fill starts at the three corner faces and never crosses an
-    edge of the path P.  The star triples are the vertices of those faces,
-    less the alphas: they lie on or inside the boundary.
+    edge of the path P.  On a sphere a role-j label's face is one tau_j
+    cycle, and its triples' delta partners off j + 1 are the label's delta
+    triples.  The star triples are the vertices of those faces, less the
+    alphas: they lie on or inside the boundary.
     """
     _, steps = _path_steps(T, tg)
     blocked = {_edge_id(T, x, j) for x, j in steps}
 
-    by_label = {}
-    for q in T.delta:
-        for j in range(3):
-            by_label.setdefault(q[j], []).append((j, q))
-
     seen_tri = set(tg.corners)
-    seen_cyc = set()
+    seen_cyc = {}  # label -> its tau cycle
     frontier = list(tg.corners)
     while frontier:
         q = frontier.pop()
         for j in range(3):
             if (j, q) not in blocked and q[j] not in seen_cyc:
-                seen_cyc.add(q[j])
-                for j2, q2 in by_label[q[j]]:
-                    if (j2, q2) not in blocked and q2 not in seen_tri:
+                j1 = (j + 1) % 3
+                cycle = seen_cyc[q[j]] = T.tau_cycle_at(j, T.star_partner(q, j1))[0]
+                for p in cycle:
+                    q2 = T.delta_partner(p, j1)
+                    if (j, q2) not in blocked and q2 not in seen_tri:
                         seen_tri.add(q2)
                         frontier.append(q2)
 
     inner_points = {T.star_partner(q, j) for q in seen_tri for j in range(3)}
-    for lab in seen_cyc:
-        start = next(p for p in T.star if p[lab.role] == lab)
-        inner_points.update(tau_cycle(T, lab.role, start))
+    inner_points.update(*seen_cyc.values())
     return seen_tri, inner_points - set(tg.alphas)
 
 

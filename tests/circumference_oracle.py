@@ -2,7 +2,8 @@
 
 ``inner_circumference`` walks the closed path P around a trigon and
 splices the three detour arcs Q_j in place of the alphas, the paper's
-construction of the inner circumference.  ``trigons.split`` reads the
+construction of the inner circumference, on the path that
+``walk_oracle.path_steps`` steps with tau.  ``trigons.split`` reads the
 inner star triples off ``trigons._flood_inner`` instead, so every star
 triple of the circumference must lie among the flood's inner points.
 """
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from bitrades.core import InternalCheckFailed, tau, tau_cycle
-from bitrades.trigons import SpliceIdentityFailure, _path_steps
+from bitrades.trigons import SpliceIdentityFailure
+from walk_oracle import path_steps
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,7 @@ class TrigonCircumference:
 
 def inner_circumference(T, tg):
     """Splice the detour arcs into P, yielding the inner circumference."""
-    vertices, _ = _path_steps(T, tg)
+    vertices, _ = path_steps(T, tg)
     betas, arcs = [], []
     for j in range(3):
         idx = vertices.index(tg.alphas[j])

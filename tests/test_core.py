@@ -336,17 +336,55 @@ class TestMetrics:
                 T = cayley_bitrade(n, k, names, [range(n)] * 3)
                 assert is_separated_bitrade(T) == (math.gcd(n, k) == 1)
 
-    def test_separated_matches_per_label_oracle(self, spherical_corpus, seeded_spherical,
-                                                toroidal, toroidal_swapped,
-                                                two_intercalates, pinched_intercalates):
-        instances = [*spherical_corpus.values(), *seeded_spherical, toroidal,
-                     toroidal_swapped, two_intercalates, pinched_intercalates]
+    def test_separated_matches_per_label_oracle(self, tau_instances):
+        instances = list(tau_instances)
         for n in range(2, 7):
             names = [[f"{prefix}{i}" for i in range(n)] for prefix in "rcs"]
             instances += [cayley_bitrade(n, k, names, [range(n)] * 3) for k in range(1, n)]
         verdicts = [is_separated_bitrade(T) for T in instances]
         assert verdicts == [scan_oracle.is_separated_bitrade(T) for T in instances]
         assert True in verdicts and False in verdicts
+
+
+@pytest.fixture(scope="module")
+def tau_instances(spherical_corpus, seeded_spherical, connected_sums, toroidal,
+                  toroidal_swapped, sphere_and_torus, two_intercalates,
+                  pinched_intercalates, products):
+    return [*spherical_corpus.values(), *seeded_spherical, *(T for T, _ in connected_sums),
+            toroidal, toroidal_swapped, sphere_and_torus, two_intercalates,
+            pinched_intercalates, *(T for T, _, _ in products.values())]
+
+
+def assert_table_is_tau_cycles(T):
+    """Each star triple's ``T.tau_cycle_at`` cycle, rotated to start at it, is
+    its ``tau_cycle``, and the triples of one cycle share one tuple."""
+    for j in range(3):
+        for p in T.star:
+            cycle, i = T.tau_cycle_at(j, p)
+            assert cycle[i] == p
+            assert list(cycle[i:] + cycle[:i]) == tau_cycle(T, j, p)
+            assert all(T.tau_cycle_at(j, x)[0] is cycle for x in cycle)
+
+
+class TestTauCycles:
+    """The tau cycles that trigons and is_separated_bitrade read off the
+    bitrade equal the definition, tau_cycle, from every star triple and role."""
+
+    def test_instances(self, tau_instances):
+        for T in tau_instances:
+            assert_table_is_tau_cycles(T)
+
+    @given(recipes)
+    @settings(max_examples=150, deadline=None)
+    @example((["toroidal_swapped", "seeded10"], [("swap star and delta", 0, 0)]))
+    @example((["Z4_shift2", "nested"], []))
+    def test_mutated_documents(self, recipe):
+        try:
+            T = build_bitrade(*document_triples(build(recipe)))
+        except (BitradeError, ValueError):
+            return
+        assert_table_is_tau_cycles(T)
+        assert is_separated_bitrade(T) == scan_oracle.is_separated_bitrade(T)
 
 
 class TestSemidual:

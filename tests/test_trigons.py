@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from bitrades.trigons import (
 from circumference_oracle import inner_circumference
 from isotopy_oracle import is_isotopic
 from scan_oracle import scan_trigons_bruteforce
+from walk_oracle import arc_lengths, flood_inner, path_steps
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +122,53 @@ class TestCircumference:
                 assert set(circ.circumference) <= trigons._flood_inner(T, tg)[1]
                 count += 1
         assert count == 29  # 1 trigon on nested, 28 on the seeded dissections
+
+
+class TestWalksAgainstOracle:
+    """trigon_at, the path and the flood fill, which read ``Bitrade.tau_cycle_at``,
+    equal the walks that step tau and search each cycle or label."""
+
+    def test_arc_lengths(self, spherical_corpus, seeded_spherical, connected_sums, toroidal,
+                         toroidal_swapped, two_intercalates, pinched_intercalates, products):
+        """trigon_at on every cell of the label cube, also where a label's star
+        triples lie on several tau cycles (the products)."""
+        for T in [*spherical_corpus.values(), *seeded_spherical,
+                  *(T for T, _ in connected_sums), toroidal, toroidal_swapped,
+                  two_intercalates, pinched_intercalates, *(T for T, _, _ in products.values())]:
+            for c in itertools.starmap(Triple, itertools.product(*T.universes)):
+                tg = trigon_at(T, c)
+                assert (tg and tg.arc_lengths) == arc_lengths(T, c)
+
+    @staticmethod
+    def assert_agree(T, tg, flood=trigons._flood_inner):
+        assert trigons._path_steps(T, tg) == path_steps(T, tg)
+        found = flood(T, tg)
+        assert found == flood_inner(T, tg)
+        return found
+
+    def test_every_trigon(self, spherical_corpus, seeded_spherical, connected_sums):
+        count = 0
+        for T in [*spherical_corpus.values(), *seeded_spherical,
+                  *(T for T, _ in connected_sums)]:
+            for tg in find_trigons(T):
+                self.assert_agree(T, tg)
+                count += 1
+        assert count == 90  # 29 on nested and the seeded dissections, 61 on the sums
+
+    def test_every_separation(self, nested, seeded_spherical, connected_sums, monkeypatch):
+        """Every flood of every separation, on the outer parts down to the deepest level."""
+        flood = trigons._flood_inner
+        monkeypatch.setattr(trigons, "_flood_inner",
+                            lambda T, tg: self.assert_agree(T, tg, flood))
+        depths = set()
+        for T in [nested.bitrade, *seeded_spherical, *(T for T, _ in connected_sums)]:
+            for a in T.star:
+                for i in range(3):
+                    for y in T.universe(i):
+                        if y != a[i]:
+                            b = next(p for p in T.star if p[i] == y)
+                            depths.add(separate_trace(T, a, b, i)[1])
+        assert depths == {0, 1, 2, 3, 4}
 
 
 class TestSplit:
