@@ -13,14 +13,15 @@ fewest nonzeros.  Every row of a bitrade's relation matrix is e_row +
 e_col - e_sym, so every entry starts as a unit and no search for a
 cheap pivot pays for itself; this is the Tietze reduction of the presentation
 of G(T).  ``_dense_smith``, the dense loop, then runs only on the block
-of rows and columns left over, which holds no unit.  The units come
-first on the diagonal.  Each row and column operation of either phase
-is applied to U and V where it is made.  The certificate proves on
-every call that M and its diagonal D have isomorphic cokernels through
-x -> x V: V unimodular, by its block-triangular shape in pivot order,
-U (M V) = D, every column of M V a multiple of its d_k, and the
-divisibility chain.  It forms its products over the nonzeros of each
-row.  ``solver`` computes the Smith
+of rows and columns left over, which holds no unit; every pass of it
+re-picks the block's least nonzero entry as the pivot, which keeps the
+transforms' entries small.  The units come first on the diagonal.  Each
+row and column operation of either phase is applied to U and V where it
+is made.  The certificate proves on every call that M and its diagonal
+D have isomorphic cokernels through x -> x V: V unimodular, by its
+block-triangular shape in pivot order, U (M V) = D, every column of M V
+a multiple of its d_k, and the divisibility chain.  It forms its
+products over the nonzeros of each row.  ``solver`` computes the Smith
 form of a bitrade's relation matrix once and keeps it on the bitrade;
 the pointed solves, G(T), H(T), the canonical images, the rank of B and
 the deleted-column minors are read from it.
@@ -219,21 +220,17 @@ def _dense_smith(A, m, U, V):
     V, the sparse columns of the whole V that A's columns came from.
     Every column operation is undone on the rows of V_inv, the block's
     inverse, so the inverse that ``_certify`` reads costs no elimination.
-    The pivot is the first entry of least absolute value; a unit pivot
-    ends the scan and needs no divisibility pass.
+
+    One rule makes every pass: the first least nonzero entry of the
+    trailing block becomes the pivot p at (t, t), and column t and row t
+    are reduced by floor quotients.  A remainder, below |p|, is left to
+    the next pass; else a row holding an entry that p (not a unit) does
+    not divide is added to row t; else row t is negated if p < 0 and t
+    steps.  |p| only falls until t steps, and small pivots keep U's and
+    V's entries small.
     """
     n = len(A)
     V_inv = identity(m)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        V[i], V[j] = V[j], V[i]
-        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
 
     def add_row(dst, src, q):
         if q:  # a no-op, which _add_to cannot take: it would delete keys dst lacks
@@ -247,62 +244,36 @@ def _dense_smith(A, m, U, V):
             _add_to(V[dst], V[src], q)
             V_inv[src] = [x - q * y for x, y in zip(V_inv[src], V_inv[dst])]
 
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = {k: -x for k, x in U[i].items()}
-
     t = 0
     while t < min(n, m):
-        # move the first smallest nonzero entry of the trailing block to
-        # (t, t); no entry is smaller than a unit, so the scan stops there
-        best = None
-        for entry in ((abs(x), i, j) for i in range(t, n)
-                      for j, x in enumerate(A[i][t:], t) if x):
-            if best is None or entry < best:  # later (i, j) only win on size
-                best = entry
-                if entry[0] == 1:
-                    break
-        if best is None:
+        # the first nonzero entry of least absolute value in the trailing block
+        least = min((abs(x) for row in A[t:] for x in row[t:] if x), default=0)
+        if not least:
             break
-        _, i, j = best
-        if i != t:
-            swap_rows(t, i)
+        i, j = next((i, j) for i in range(t, n)
+                    for j, x in enumerate(A[i][t:], t) if abs(x) == least)
+        A[t], A[i] = A[i], A[t]
+        U[t], U[i] = U[i], U[t]
         if j != t:
-            swap_cols(t, j)
-        while True:
-            dirty = False
-            for i in range(t + 1, n):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    add_row(i, t, -q)
-                    if A[i][t] != 0:
-                        swap_rows(t, i)
-                    dirty = True
-            for j in range(t + 1, m):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    add_col(j, t, -q)
-                    if A[t][j] != 0:
-                        swap_cols(t, j)
-                    dirty = True
-            if dirty:
+            for row in A:
+                row[t], row[j] = row[j], row[t]
+            V[t], V[j] = V[j], V[t]
+            V_inv[t], V_inv[j] = V_inv[j], V_inv[t]
+        p = A[t][t]
+        for i in range(t + 1, n):
+            add_row(i, t, -(A[i][t] // p))
+        for j in range(t + 1, m):
+            add_col(j, t, -(A[t][j] // p))
+        if any(A[i][t] for i in range(t + 1, n)) or any(A[t][t + 1:]):
+            continue  # each remainder is below |p|, so the next pivot is smaller
+        if abs(p) != 1:  # a unit divides every entry
+            culprit = next((i for i in range(t + 1, n) if any(x % p for x in A[i][t + 1:])), None)
+            if culprit is not None:
+                add_row(t, culprit, 1)  # reducing row t then leaves a remainder
                 continue
-            if abs(A[t][t]) == 1:
-                break  # a unit divides every entry
-            # force the divisibility chain: pull in any non-divisible entry
-            culprit = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if A[i][j] % A[t][t] != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            add_row(t, culprit, 1)
-        if A[t][t] < 0:
-            negate_row(t)
+        if p < 0:
+            A[t] = [-x for x in A[t]]
+            U[t] = {k: -x for k, x in U[t].items()}
         t += 1
 
     diagonal = [A[k][k] for k in range(min(n, m))]

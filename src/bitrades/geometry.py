@@ -37,6 +37,7 @@ from .core import (
     ROW,
     SYM,
     BitradeError,
+    EmptyInput,
     InternalCheckFailed,
     Label,
     Triple,
@@ -184,6 +185,8 @@ def extract_bitrade(line_triples):
     """
     n, lines = _to_width([[x if type(x) in (int, Fraction) else Fraction(x) for x in t]
                           for t in line_triples])
+    if not lines:
+        raise EmptyInput("no triangles in dissection input")
     if any(h + v == d for h, v, d in lines):
         raise BitradeError("degenerate triangle in dissection input")
 

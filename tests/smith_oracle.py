@@ -5,7 +5,9 @@ unit-pivot phase: it treats M as dense, rescanning the trailing block
 for every pivot and updating dense rows of U and V.  Its result passes
 ``_verify_smith``, the dense certificate of any (M, diagonal, U, V).
 The Smith form's diagonal is unique, so the library's must equal this
-one's.
+one's.  ``determinantal_divisors`` gives it from its definition instead:
+d_1 ... d_k is the gcd D_k of the k x k minors, each a Bareiss
+determinant, with no elimination of the matrix itself.
 
 ``subgroup_H`` is the library's H(T) before it was read off G(T) =
 H(T) + Z^2: it presents H in G's Smith coordinates through the Smith
@@ -15,9 +17,14 @@ the dense ones, and checks the lattice division on the way.
 
 from __future__ import annotations
 
+import functools
+import math
+from itertools import combinations
+
 from bitrades.core import COL, ROW, InternalCheckFailed
 from bitrades.exact import SmithForm, identity
 from bitrades.groups import AbelianGroupStructure, canonical_images, presentation
+from pivot_oracle import determinant
 from rational_oracle import invert_unimodular, mat_mul
 
 
@@ -47,6 +54,19 @@ def _verify_smith(M, diagonal, U, V):
     for a, b in zip(diagonal, diagonal[1:]):
         if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
             raise InternalCheckFailed("smith normal form divisibility chain broken")
+
+
+def determinantal_divisors(M):
+    """[D_1, ..., D_r], r = min(rows, cols), D_k the gcd of M's k x k minors (0 if all are).
+
+    The Smith diagonal's prefix products are these: d_1 ... d_k = D_k.
+    """
+    n = len(M)
+    m = len(M[0]) if n else 0
+    return [functools.reduce(math.gcd, (determinant([[M[i][j] for j in cols] for i in rows])
+                                        for rows in combinations(range(n), k)
+                                        for cols in combinations(range(m), k)), 0)
+            for k in range(1, min(n, m) + 1)]
 
 
 def smith_normal_form(M):

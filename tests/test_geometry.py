@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import geometry_oracle
 import pivot_oracle
 from bitrades import jsonio, solver
-from bitrades.core import BitradeError, InternalCheckFailed, build_bitrade
+from bitrades.core import BitradeError, EmptyInput, InternalCheckFailed, build_bitrade
 from bitrades.geometry import (
     NotSeparatedSolution,
     ValenceSix,
@@ -181,6 +181,11 @@ class TestExtract:
     def test_degenerate_input(self):
         with pytest.raises(BitradeError, match="degenerate"):
             extract_bitrade([(0, 0, 0)])
+
+    def test_empty_input(self):
+        # no triangle gives no universe to take the outer triple's extremes from
+        with pytest.raises(EmptyInput, match="no triangles"):
+            extract_bitrade([])
 
 
 class TestSvg:

@@ -1,11 +1,16 @@
-"""The two-phase Smith form (sparse unit pivots, then a dense block) against the dense oracle.
+"""The two-phase Smith form (sparse unit pivots, then a dense block) against two oracles.
 
 The Smith form's diagonal is unique, so it must equal the dense-only
-oracle's on every input; every form must pass the certificate; and the
-sparse phase must not grow the transforms' entries past the oracle's.
+oracle's on B and H's matrices, and the determinantal divisors' on
+random dense matrices; every form must pass the certificate.  The
+transforms' entries must not grow past the dense oracle's on B and H's
+matrices, and must stay within a fixed bound on dense random matrices,
+where the oracle's grow to thousands of bits.
 """
 
 import random
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -184,3 +189,53 @@ def test_units_come_first_on_the_diagonal():
     assert snf.diagonal == [1, 1, 6]
     pivots, rows, cols, block, _, _ = _unit_reduce(_sparse(M), len(M[0]))
     assert len(pivots) == 1 and block == [[2, 0], [0, 3]]
+
+
+def random_dense(rng, n, m):
+    return [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+
+
+def assert_matches_divisors(M):
+    snf = smith_normal_form(M)
+    assert list(accumulate(snf.diagonal, mul)) == smith_oracle.determinantal_divisors(M), M
+    smith_oracle._verify_smith(M, snf.diagonal, snf.U, snf.V)
+    return snf
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_matrices_match_determinantal_divisors(seed):
+    # a repeated row or a zero column, where drawn, makes the rank fall short
+    rng = random.Random(seed)
+    for _ in range(100):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        M = random_dense(rng, n, m)
+        shape = rng.choice(["as drawn", "as drawn", "repeat", "zero column"])
+        if shape == "repeat" and n > 1:
+            M[-1] = M[0][:]
+        elif shape == "zero column":
+            j = rng.randrange(m)
+            for row in M:
+                row[j] = 0
+        assert_matches_divisors(M)
+
+
+def test_dense_block_without_transform_blow_up():
+    # one unit pivot, then a 4 x 5 dense block with entries up to 90; reducing on one
+    # pivot until it divided everything, with mid-pass swaps, took U and V to 142 bits
+    M = [[8, -9, 0, 3, -6, 9],
+         [-9, -9, -3, -4, 6, 8],
+         [9, -1, 8, 7, -5, 9],
+         [-3, 4, -6, -5, -4, 7],
+         [7, -6, -9, -6, -7, -4]]
+    snf = assert_matches_divisors(M)
+    assert snf.diagonal == [1, 1, 1, 1, 2]
+    assert max_bits(snf) <= 64
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (6, 8), (8, 6), (8, 8)])
+def test_transforms_stay_small_on_dense_matrices(shape):
+    rng = random.Random(0)
+    for _ in range(30):
+        M = random_dense(rng, *shape)
+        snf = smith_normal_form(M)  # certified on the way out
+        assert max_bits(snf) <= 256, M
