@@ -189,6 +189,8 @@ def extract_bitrade(line_triples):
         raise EmptyInput("no triangles in dissection input")
     if any(h + v == d for h, v, d in lines):
         raise BitradeError("degenerate triangle in dissection input")
+    if len(set(lines)) != len(lines):
+        raise BitradeError("repeated triangle in dissection input")
 
     def universe(role):
         prefix = "rcs"[role]

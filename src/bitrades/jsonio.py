@@ -63,7 +63,7 @@ def loads(text):
     delta = _triples(doc, "delta", rows, cols, syms)
     try:
         return build_bitrade(star, delta)
-    except ValueError as e:  # a duplicated triple or an unused label
+    except ValueError as e:  # a duplicated triple
         raise ParseError(str(e)) from e
 
 

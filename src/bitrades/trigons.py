@@ -174,7 +174,6 @@ class Split:
     trigon: Trigon
     inner: Bitrade  # S1: trigon triple joins its star
     outer: Bitrade  # S0: trigon triple joins its delta
-    inner_points: frozenset  # star triples of T on or inside the boundary
 
 
 def split(T, tg, flood=None):
@@ -194,7 +193,7 @@ def split(T, tg, flood=None):
         raise InternalCheckFailed("split delta sizes do not add up to size + 1")
     if T.spherical and not (inner.spherical and outer.spherical):
         raise InternalCheckFailed("split of a spherical bitrade is not spherical")
-    return Split(tg, inner, outer, frozenset(inner_points))
+    return Split(tg, inner, outer)
 
 
 def recombine(T, sp, phi):

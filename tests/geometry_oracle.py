@@ -207,6 +207,8 @@ def extract_bitrade(line_triples):
     tris = [TriangleGeom(None, tuple(Fraction(v) for v in t)) for t in line_triples]
     if any(t.degenerate for t in tris):
         raise BitradeError("degenerate triangle in dissection input")
+    if len({t.lines for t in tris}) != len(tris):
+        raise BitradeError("repeated triangle in dissection input")
 
     def universe(role, values):
         prefix = "rcs"[role]

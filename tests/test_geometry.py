@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import geometry_oracle
 import pivot_oracle
-from bitrades import jsonio, solver
+from bitrades import corpus, jsonio, solver
 from bitrades.core import BitradeError, EmptyInput, InternalCheckFailed, build_bitrade
 from bitrades.geometry import (
     NotSeparatedSolution,
@@ -181,6 +181,15 @@ class TestExtract:
     def test_degenerate_input(self):
         with pytest.raises(BitradeError, match="degenerate"):
             extract_bitrade([(0, 0, 0)])
+
+    def test_repeated_triangle(self):
+        # the extractor names the repeat itself, before build_bitrade sees a
+        # duplicated delta triple
+        lines = [*corpus.NESTED_LINES, corpus.NESTED_LINES[0]]
+        with pytest.raises(BitradeError, match="repeated triangle in dissection input"):
+            extract_bitrade(lines)
+        with pytest.raises(BitradeError, match="repeated triangle in dissection input"):
+            geometry_oracle.extract_bitrade(lines)
 
     def test_empty_input(self):
         # no triangle gives no universe to take the outer triple's extremes from

@@ -17,6 +17,7 @@ from bitrades.core import (
     COL,
     ROW,
     SYM,
+    InternalCheckFailed,
     Label,
     Triple,
     build_bitrade,
@@ -304,9 +305,8 @@ class TestDetInvariance:
     def test_minors_do_not_depend_on_the_kernel_basis(self, spherical_corpus,
                                                       seeded_spherical):
         # V's last two columns are a basis of ker B; times G = [[1, 1], [2, 3]],
-        # of determinant 1, the form still certifies, and every minor must come
-        # out the same.  The library's kernel columns here are k2 - k1 and k1,
-        # which make one product of each 2 x 2 minor 0; after G neither is
+        # of determinant 1, the form still certifies.  The report must come out
+        # the same as the oracle's, which pins that it reads no kernel column of V
         for T in [*spherical_corpus.values(), *seeded_spherical]:
             S = build_bitrade(T.star, T.delta)
             labels, form = solver._relation_smith(S)
@@ -316,6 +316,16 @@ class TestDetInvariance:
             smith_oracle._verify_smith(relation_matrix(S)[0], form.diagonal, form.U, V)
             S._relation_smith = labels, SmithForm(form.diagonal, form.U, V)
             assert check_det_invariance(S) == pivot_oracle.check_det_invariance(T)
+
+    def test_rank_below_size_raises(self, ex45):
+        # every minor is |H| only when rank B = s; a form with a 0 on its
+        # diagonal must stop the report, not give the minors a value
+        S = build_bitrade(ex45.star, ex45.delta)
+        labels, form = solver._relation_smith(S)
+        assert form.diagonal[-1] != 0
+        S._relation_smith = labels, SmithForm([*form.diagonal[:-1], 0], form.U, form.V)
+        with pytest.raises(InternalCheckFailed, match="free rank 2"):
+            check_det_invariance(S)
 
     def test_non_spherical_rejected(self, toroidal):
         with pytest.raises(ValueError, match="spherical"):
@@ -333,7 +343,8 @@ class TestDetInvariance:
     def test_common_value_matches_H_order(self, spherical_corpus, seeded_spherical,
                                           connected_sums):
         # proven in check_det_invariance's docstring: ker B = Z k1 + Z k2 makes
-        # every admissible 2 x 2 minor of V +-1, so every minor is d_1 ... d_s = |H|
+        # every admissible 2 x 2 minor of V +-1, so every minor is d_1 ... d_s = |H|;
+        # test_against_bareiss_oracle computes the minors themselves
         for T in [*spherical_corpus.values(), *seeded_spherical,
                   *(T for T, _ in connected_sums)]:
             assert check_det_invariance(T).common_value == subgroup_H(T).order
