@@ -97,7 +97,9 @@ class Bitrade:
     through ``tau_cycle_at``; and, by ``solver``, the certified Smith form
     of its relation matrix, the one factorisation of B that every pointed
     solve, G(T), H(T) and every deleted-column minor read, and each solved
-    pivot's checked answer to Eq(T, a); none of them refers back to it.
+    pivot's checked answer to Eq(T, a); none of them refers back to it.  A
+    piece of a trigon split keeps the bitrade it was cut from, whose
+    solutions give its own.
     """
 
     def __init__(self, star, delta, universes, star_index, delta_index, star_set, delta_set):
@@ -111,6 +113,7 @@ class Bitrade:
         self._relation_smith = None  # (labels, SmithForm of B), set by solver
         self._solutions = {}  # pivot -> values or (rank, nullity, status), set by solver
         self._tau_cycles = ({}, {}, {})  # [j] -> {p: tau_cycle_at(j, p)}, filled as read
+        self._source = None  # the spherical bitrade this is a split piece of, set by trigons
 
     @property
     def size(self):

@@ -47,8 +47,9 @@ def _triples(doc, key, rows, cols, syms):
 def loads(text):
     """Parse and validate a bitrade from a JSON string.
 
-    Raises ParseError on malformed input and AxiomViolation / EmptyInput
-    on well-formed input that is not a bitrade.
+    Raises ParseError on malformed input, a duplicated triple or a declared
+    label that no triple uses, and AxiomViolation / EmptyInput on
+    well-formed input that is not a bitrade.
     """
     try:
         doc = json.loads(text)
@@ -62,9 +63,17 @@ def loads(text):
     star = _triples(doc, "star", rows, cols, syms)
     delta = _triples(doc, "delta", rows, cols, syms)
     try:
-        return build_bitrade(star, delta)
+        T = build_bitrade(star, delta)
     except ValueError as e:  # a duplicated triple
         raise ParseError(str(e)) from e
+    unused = []  # the universes are the star's labels, and R3 puts every delta label there
+    for key, table, used in zip(("rows", "cols", "syms"), (rows, cols, syms), T.universes):
+        if len(table) != len(used):
+            name = next(name for name, lab in table.items() if lab not in used)
+            unused.append(f"unused {key} label {name!r}")
+    if unused:
+        raise ParseError("; ".join(unused))
+    return T
 
 
 def load(path):

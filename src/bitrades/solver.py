@@ -30,6 +30,39 @@ pivot, is not solved again.  Only plain integers are kept, never a
 ``Solution``: it refers back to the bitrade, and that cycle would leave
 the bitrade for the cyclic garbage collector to free instead of
 reference counting.
+
+A piece of a trigon split takes no Smith form of its own.  ``split`` of
+a spherical T sets each piece's ``_source`` to T, and the piece's
+solutions are read off T's:
+
+- Both pieces are built from T's triples, plus the trigon triple c, so
+  every equation of a piece but c's is an equation of T.  Let S be a
+  piece with pivot a whose other star triples all lie in T's star, and
+  α a star triple of T that is not one of them (α = a when a is in T's
+  star).  T's solution y at α then satisfies every equation of Eq(S, a)
+  but the normalisation at a.  The outer piece's star is part of T's,
+  so this holds at each of its pivots with α = a.  The inner piece's
+  star is the inner points and c, so it holds at c for every α outside
+  the inner points.
+- S is spherical, so Eq(S, a) has one solution, and without the
+  normalisation its equations have rank size(S) - 1 over size(S) + 2
+  unknowns.  Their solutions are therefore spanned by S's solution at a
+  and the trivial homotopies k1 and k2.
+- With leg = y[a.sym] - y[a.row] - y[a.col], the vector
+  y - y[a.row] k1 - y[a.col] k2 is 0 at a's row and column and leg at
+  a's symbol.  When leg != 0 it is leg times S's solution at a, on S's
+  labels.  At α = a, leg is 1, and this is the plain restriction.
+- An outer piece's solve at a reads T's at a, so by induction every
+  outer piece at every depth reads the root's one Smith form, and an
+  inner piece at c reads it through its parent.
+
+The inner piece tries first the pivots that T has already solved, most
+recent first (in a separation, the pivot a2 at which the outer piece was
+just solved), then T's other star triples in star order.  Where no α
+gives leg != 0, or where S's other star triples are not all in T's star
+(the inner piece at any pivot but c), S takes its own Smith form.  Both
+paths run the same checks on S.  A piece refers to T, but T never to a
+piece, so no reference cycle forms.
 """
 
 from __future__ import annotations
@@ -167,13 +200,49 @@ def solve_pointed(pointed):
 def _solve(T, a):
     """Eq(T, a)'s checked (n, {label: n * value}), or (rank, nullity, status) if singular.
 
+    A split piece reads it off its parent's solution where it can (see the module
+    docstring); otherwise T's own Smith form gives it, as ``_own_form`` shows.
+    """
+    if T._source is not None:
+        known = _from_source(T, a)
+        if known is not None:
+            return known
+    return _own_form(T, a)
+
+
+def _from_source(T, a):
+    """Eq(T, a)'s checked answer read off a solution of T's parent, or None if
+    no pivot of the parent gives it."""
+    parent = T._source
+    outside = [p for p in T.star if not parent.in_star(p)]
+    if not outside:  # an outer piece: its solution at a is the parent's, restricted
+        alphas = [a]
+    elif outside == [a]:  # the inner piece at the trigon triple
+        solved = parent._solutions
+        alphas = [p for p in reversed(solved) if not T.in_star(p)]
+        alphas += [p for p in parent.star if p not in solved and not T.in_star(p)]
+    else:
+        return None
+    for alpha in alphas:
+        _, y = solve_pointed(PointedBitrade(parent, alpha)).scaled
+        leg = y[a.sym] - y[a.row] - y[a.col]
+        if leg:
+            sign = 1 if leg > 0 else -1
+            shift = (y[a.row], y[a.col], y[a.row] + y[a.col])  # by role, as in _own_form
+            return _checked(T, a, abs(leg), {lab: sign * (y[lab] - shift[lab.role])
+                                             for universe in T.universes for lab in universe})
+    return None
+
+
+def _own_form(T, a):
+    """Eq(T, a)'s answer off T's own Smith form.
+
     With r = rank B and x = V z, B x = -e_a is D z = -U e_a.  It is inconsistent iff
     U[k][i] != 0 for some k >= r, i the pivot's row of B: row k of U is then a y with
     y B = 0 (row k of U B V = D is 0, and V is invertible over Z) and y e_a != 0.
     Otherwise, with d = d_r > 0, the largest nonzero d_k, which every d_k divides,
     z_k = -U[k][i] d / d_k (k < r) gives x = V z, d times a solution; only the k
-    with U[k][i] != 0 contribute.  The checks run on these integers, and dividing
-    them and d by their gcd g gives the values over their width d / g.
+    with U[k][i] != 0 contribute.
     """
     labels, snf = _relation_smith(T)
     i = T.star.index(a)
@@ -189,12 +258,21 @@ def _solve(T, a):
             x = [xj + Vj[k] * zk for xj, Vj in zip(x, snf.V)]
     x = dict(zip(labels, x))
     shift = (x[a.row], x[a.col], x[a.row] + x[a.col])  # x[a.row] k1 + x[a.col] k2 by role
-    y = {lab: v - shift[lab.role] for lab, v in x.items()}  # d times the solution
+    return _checked(T, a, d, {lab: v - shift[lab.role] for lab, v in x.items()})
+
+
+def _checked(T, a, d, y):
+    """(d / g, y / g), g = gcd(d, *y), once y is checked to be d times Eq(T, a)'s solution.
+
+    y is 0 at the pivot's row and column by construction.  The checks are every
+    equation of Eq(T, a), the pivot's symbol at d (row a of B x = -e_a, the one
+    equation not checked with the others; a parent's solution, divided by its
+    leg, meets it by construction) and, on a spherical T, every value in [0, d].
+    The values over their width are y and d divided by g.
+    """
     for p in T.star:
         if p != a and y[p.row] + y[p.col] != y[p.sym]:
             raise InternalCheckFailed(f"solution breaks the equation of {p}")
-    # y is 0 at the pivot's row and column by construction; y[a.sym] = d is
-    # row a of B x = -e_a, the one equation not checked above
     if y[a.sym] != d:
         raise InternalCheckFailed(f"solution does not fix the pivot {a}'s symbol at 1")
     if not all(0 <= v <= d for v in y.values()) and T.spherical:

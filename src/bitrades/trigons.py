@@ -191,8 +191,10 @@ def split(T, tg, flood=None):
         raise InternalCheckFailed("split star sizes do not add up to size + 1")
     if len(inner.delta) + len(outer.delta) != T.size + 1:
         raise InternalCheckFailed("split delta sizes do not add up to size + 1")
-    if T.spherical and not (inner.spherical and outer.spherical):
-        raise InternalCheckFailed("split of a spherical bitrade is not spherical")
+    if T.spherical:
+        if not (inner.spherical and outer.spherical):
+            raise InternalCheckFailed("split of a spherical bitrade is not spherical")
+        inner._source = outer._source = T  # the pieces' solutions are read off T's
     return Split(tg, inner, outer)
 
 

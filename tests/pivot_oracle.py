@@ -9,6 +9,8 @@ Gauss-Jordan elimination that solved every pivot and gave every minor
 before both were read off B's Smith form; ``rank`` counts the pivots of
 one such elimination, the rank of B before it, too, was read off the
 Smith form.
+``own_form`` solves a split piece from its own Smith form, as every
+piece was solved before pieces read their parents' solutions.
 ``width`` and ``near_values`` compute a solution's width and scaled
 values directly from its ``Fraction`` values.  ``normalize_homotopy``
 shifts a homotopy so that a base triple's labels map to 0.
@@ -21,7 +23,8 @@ import math
 from fractions import Fraction
 
 import rational_oracle
-from bitrades.core import COL, ROW, SYM
+from bitrades import solver
+from bitrades.core import COL, ROW, SYM, build_bitrade
 from bitrades.groups import DetInvarianceReport
 from bitrades.solver import Homotopy, relation_matrix
 
@@ -69,6 +72,15 @@ def solve_pointed(T, pivot):
         values = dict(fixed)
         values.update(zip(columns, res.solution))
     return res.status, res.rank, len(columns) - res.rank, values
+
+
+def own_form(S, pivot):
+    """Eq(S, pivot)'s (n, {label: n * value}) from S's own Smith form.
+
+    The solve runs on a copy of S that no split made, so it reads no parent.
+    """
+    copy = build_bitrade(S.star, S.delta)
+    return solver.solve_pointed(solver.PointedBitrade(copy, pivot)).scaled
 
 
 def eliminate(M, width):

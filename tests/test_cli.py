@@ -103,6 +103,28 @@ class TestValidate:
         code, out, _ = run(capsys, "report", str(tmp_path))
         assert code == 0 and out.splitlines()[1] == "dup.json,,,,,parse error,,,,,"
 
+    def test_unused_label_exit_3(self, tmp_path, capsys, intercalate):
+        doc = json.loads(jsonio.dumps(intercalate))
+        doc["rows"].append("rX")
+        (tmp_path / "unused.json").write_text(json.dumps(doc))
+        with pytest.raises(jsonio.ParseError, match="^unused rows label 'rX'$"):
+            jsonio.loads(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(tmp_path / "unused.json"))
+        assert (code, out) == (3, "") and "unused rows label 'rX'" in err
+        jsonio.dump(intercalate, tmp_path / "intercalate.json")
+        code, out, _ = run(capsys, "report", str(tmp_path))
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and [r["status"] for r in rows] == ["ok"] * 4 + ["parse error"]
+        assert rows[-1]["path"] == "unused.json"
+
+    def test_unused_labels_named_per_role(self, intercalate):
+        doc = json.loads(jsonio.dumps(intercalate))
+        doc["cols"][1:1] = ["cX", "cY"]  # declared before a used label
+        doc["syms"].append("sX")
+        with pytest.raises(jsonio.ParseError) as e:
+            jsonio.loads(json.dumps(doc))
+        assert str(e.value) == "unused cols label 'cX'; unused syms label 'sX'"
+
     def test_axiom_violation_exit_2(self, tmp_path, capsys, intercalate):
         doc = json.loads(jsonio.dumps(intercalate))
         doc["delta"][0] = doc["star"][0]

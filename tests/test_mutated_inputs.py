@@ -34,7 +34,7 @@ SEEDED = (4, 7, 10, 13)
 BASES = ("intercalate", "ex45", "toroidal", "toroidal_swapped", "nested",
          *(f"seeded{n}" for n in SEEDED), *(f"Z{n}_shift{k}" for n, k in CAYLEY))
 MUTATIONS = ("swap star and delta", "swap a star and a delta triple", "merge two labels",
-             "drop a triple")
+             "drop a triple", "declare an unused label")
 
 
 @functools.cache
@@ -86,6 +86,9 @@ def build(recipe):
             side = (star, delta)[a % 2]
             if side:
                 del side[b % len(side)]
+        elif kind == "declare an unused label":
+            labels = doc[LABEL_KEYS[a % 3]]
+            labels.insert(b % (len(labels) + 1), f"unused{a % 3}")
     doc["star"], doc["delta"] = star, delta
     return doc
 
@@ -111,6 +114,7 @@ def run(*argv):
 # not spherical, and its pointed solution does not separate s0 from s1: separate exits 5
 @example((["nested", "intercalate"], [("swap star and delta", 0, 0), ("merge two labels", 342, 1),
                                       ("merge two labels", 3560, 2)]))
+@example((["ex45"], [("declare an unused label", 1, 3)]))  # a parse error, exit 3
 def test_every_command_exits_with_a_documented_code(recipe):
     doc = build(recipe)
     with tempfile.TemporaryDirectory() as d:
