@@ -13,18 +13,21 @@ fewest nonzeros.  Every row of a bitrade's relation matrix is e_row +
 e_col - e_sym, so every entry starts as a unit and no search for a
 cheap pivot pays for itself; this is the Tietze reduction of the presentation
 of G(T).  ``_dense_smith``, the dense loop, then runs only on the block
-of rows and columns left over, which holds no unit; every pass of it
-re-picks the block's least nonzero entry as the pivot, which keeps the
-transforms' entries small.  The units come first on the diagonal.  Each
-row and column operation of either phase is applied to U and V where it
-is made.  The certificate proves on every call that M and its diagonal
-D have isomorphic cokernels through x -> x V: V unimodular, by its
-block-triangular shape in pivot order, U (M V) = D, every column of M V
-a multiple of its d_k, and the divisibility chain.  It forms its
-products over the nonzeros of each row.  ``solver`` computes the Smith
-form of a bitrade's relation matrix once and keeps it on the bitrade;
-the pointed solves, G(T), H(T), the canonical images, the rank of B and
-the deleted-column minors are read from it.
+of rows and columns left over, on its rows that hold a nonzero, as no
+unit is left in it; every pass of it re-picks the block's least nonzero
+entry as the pivot, which keeps the transforms' entries small.  The
+units come first on the diagonal.  Each row and column operation of
+either phase is applied to U and V where it is made.  U keeps only its
+rank rows, the rows of the nonzero d_k: the rows past the rank, a basis
+of M's left kernel, have no reader.  The certificate proves on every
+call that M and its diagonal D have isomorphic cokernels through
+x -> x V: the divisibility chain, V unimodular, by its block-triangular
+shape in pivot order, U (M V) = D on U's rows, and every column of M V
+a multiple of its d_k.  It forms its products over the nonzeros of each
+row.  ``solver`` computes the Smith form of a bitrade's relation matrix
+once and keeps it on the bitrade; the pointed solves, G(T), H(T), the
+canonical images, the rank of B and the deleted-column minors are read
+from it.
 """
 
 from __future__ import annotations
@@ -42,19 +45,21 @@ def identity(n):
 
 @dataclass
 class SmithForm:
-    """U @ M @ V = D with D = diag(d_1 | d_2 | ...), certified for cokernels.
+    """U @ M @ V = D_r with D = diag(d_1 | d_2 | ...), certified for cokernels.
 
-    What ``smith_normal_form`` proves on every call: V is unimodular;
-    U M V = D; every column k of M V is a multiple of d_k, and 0 where
-    d_k = 0 or k >= len(diagonal); and d_k | d_{k+1}.  Hence
+    U holds only the first r = rank rows of the row transform, one per
+    nonzero d_k, and D_r is D's first r rows.  What ``smith_normal_form``
+    proves on every call: d_k | d_{k+1}, so the nonzero d_k come first;
+    V is unimodular; U M V = D_r; every column k of M V is a multiple of
+    d_k, and 0 where d_k = 0 or k >= len(diagonal).  Hence
     rowlattice(M V) = rowlattice(D), and x -> x V maps Z^m /
-    rowlattice(M) onto Z^m / rowlattice(D).  U is unimodular by
-    construction, a product of elementary row operations, but that is
-    not re-proven at run time.
+    rowlattice(M) onto Z^m / rowlattice(D).  U's rows are rows of a
+    unimodular matrix by construction, a product of elementary row
+    operations, but that is not re-proven at run time.
     """
 
     diagonal: list  # length min(rows, cols), d_k >= 0, d_k | d_{k+1}
-    U: list
+    U: list  # rank rows, each as wide as M is tall
     V: list
 
     @property
@@ -67,27 +72,30 @@ class SmithForm:
 
 
 def smith_normal_form(M):
-    """Smith normal form of an integer matrix, with its transforms U and V.
+    """Smith normal form of an integer matrix, with U's rank rows and V.
 
     Two phases.  ``_unit_reduce`` first eliminates the unit pivots
     sparsely, in row order; each becomes a 1 on the diagonal.
     ``_dense_smith`` then reduces the block of rows and columns left
-    over, which holds no unit.  Each phase applies its row and column
-    operations to U and V where it makes them; the units come first on
-    the diagonal, so the divisibility chain holds.  Every
-    returned form has passed ``_certify`` on the sparse rows that the
-    dense matrices returned are written out from; the SmithForm
-    docstring says what that proves.
+    over, which holds no unit, on its rows that hold a nonzero: a zero
+    row adds nothing to D and only a row of U past the rank.  Each phase
+    applies its row and column operations to U and V where it makes
+    them; the units come first on the diagonal, so the divisibility
+    chain holds.  Every returned form has passed ``_certify`` on the
+    sparse rows that the dense matrices returned are written out from;
+    the SmithForm docstring says what that proves.
     """
     n = len(M)
     m = len(M[0]) if n else 0
     M = _sparse(M)
     pivots, rows, cols, block, U, V_cols = _unit_reduce(M, m)
-    U_kept = [U[i] for i in rows]
+    live = [k for k, row in enumerate(block) if any(row)]
+    U_kept = [U[rows[k]] for k in live]
     V_kept = [V_cols[j] for j in cols]
-    block_diagonal, V_inv = _dense_smith(block, len(cols), U_kept, V_kept)
-    # U' P U and V Q V', with P and Q putting the pivots first
-    U = [{k: s * x for k, x in U[i].items()} for i, _, s in pivots] + U_kept
+    block_diagonal, V_inv = _dense_smith([block[k] for k in live], len(cols), U_kept, V_kept)
+    block_rank = sum(1 for d in block_diagonal if d)
+    # U' P U on the rank rows and V Q V', with P and Q putting the pivots first
+    U = [{k: s * x for k, x in U[i].items()} for i, _, s in pivots] + U_kept[:block_rank]
     order = [j for _, j, _ in pivots] + cols
     V_cols = [V_cols[j] for _, j, _ in pivots] + V_kept
     V = [{} for _ in range(m)]
@@ -95,6 +103,7 @@ def smith_normal_form(M):
         for i, x in col.items():
             V[i][k] = x
     diagonal = [1] * len(pivots) + block_diagonal
+    diagonal += [0] * (min(n, m) - len(diagonal))
     _certify(M, diagonal, U, V, order, _sparse(V_inv))
     return SmithForm(diagonal, _dense(U, n), _dense(V, m))
 
@@ -170,11 +179,11 @@ def _unit_reduce(M, m):
             holders[j].add(i)
     pivots = []
     pivoted = set()
-    queue = list(range(len(A)))  # a heap of the rows that may hold a unit
+    queue = list(range(len(A)))  # a heap of the unpivoted rows that may hold a unit
+    queued = [True] * len(A)  # each row is on the heap at most once
     while queue:
         i = heappop(queue)
-        if i in pivoted:
-            continue
+        queued[i] = False
         pivot_row = A[i]
         units = [(len(holders[j]), j) for j, x in pivot_row.items() if x == 1 or x == -1]
         if not units:
@@ -182,7 +191,7 @@ def _unit_reduce(M, m):
         j = min(units)[1]
         s = pivot_row[j]
         rest = [(l, x) for l, x in pivot_row.items() if l != j]
-        for k in sorted(holders[j]):
+        for k in holders[j]:  # in any order: each operation changes row k alone
             if k == i:
                 continue
             row = A[k]
@@ -198,7 +207,9 @@ def _unit_reduce(M, m):
                 else:
                     del row[l]
                     holders[l].discard(k)
-            heappush(queue, k)
+            if not queued[k]:
+                queued[k] = True
+                heappush(queue, k)
         holders[j].clear()
         for l, x in rest:
             holders[l].discard(i)
@@ -289,10 +300,16 @@ def _certify(M, diagonal, U, V, order, V_inv):
     its block, p = len(V) - len(V_inv).  In that order V must be
     [[T, X], [0, V']] with T unit upper triangular, as phase 1 only adds
     a pivot column to columns not yet pivoted; then V' V_inv = I, both
-    integral, proves |det V| = |det V'| = 1.  U (M V) = D, row by row, puts each row of D
-    in rowlattice(M V); every column k of M V divisible by d_k (0 where
-    d_k = 0 or past the diagonal) puts each row of M V in rowlattice(D).
+    integral, proves |det V| = |det V'| = 1.  The chain, checked first, puts
+    the nonzero d_k first, and U holds one row per nonzero d_k: U (M V) =
+    D on those rows, row by row, puts each nonzero row of D in
+    rowlattice(M V), and D has no other; every column k of M V divisible
+    by d_k (0 where d_k = 0 or past the diagonal) puts each row of M V in
+    rowlattice(D).
     """
+    for a, b in zip(diagonal, diagonal[1:]):
+        if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
+            raise InternalCheckFailed("smith normal form divisibility chain broken")
     p = len(V) - len(V_inv)
     if (sorted(order) != list(range(len(V)))
             or any(V[r].get(k) != 1 or min(V[r]) < k for k, r in enumerate(order[:p]))
@@ -301,15 +318,11 @@ def _certify(M, diagonal, U, V, order, V_inv):
                    for k, r in enumerate(order[p:]))):
         raise InternalCheckFailed("smith normal form transform V is not unimodular")
     MV = [_row_times(Mi, V) for Mi in M]
-    for i, Ui in enumerate(U):
-        d = diagonal[i] if i < len(diagonal) else 0
-        if _row_times(Ui, MV) != ({i: d} if d else {}):
-            raise InternalCheckFailed("smith normal form verification failed: U M V != D")
+    if (len(U) != sum(1 for d in diagonal if d)
+            or any(_row_times(Ui, MV) != {i: d} for i, (Ui, d) in enumerate(zip(U, diagonal)))):
+        raise InternalCheckFailed("smith normal form verification failed: U M V != D")
     diag = diagonal + [0] * (len(V) - len(diagonal))
     for row in MV:
         if any(x % diag[k] if diag[k] else x for k, x in row.items()):
             raise InternalCheckFailed(
                 "smith normal form verification failed: M V is not in the row lattice of D")
-    for a, b in zip(diagonal, diagonal[1:]):
-        if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
-            raise InternalCheckFailed("smith normal form divisibility chain broken")

@@ -17,6 +17,24 @@ U B V = D, computed once per bitrade and kept on it
 reads every pivot's system off it, and ``groups`` reads G(T), H(T) and
 the deleted-column minors off it.
 
+The form keeps only U's first r = rank B rows, and one candidate decides
+whether Eq(T, a) is consistent.  With d = d_r, the largest nonzero d_k,
+which every d_k divides, and i the pivot's row of B, the candidate is
+x = V z with z_k = -U[k][i] d / d_k for k < r and 0 past r.  B x = -e_a
+has a rational solution iff B x = -d e_a, x / d then being one:
+
+- The certificate proves U_r B V = D_r on U's r rows, V unimodular, and
+  B V = 0 past column r.
+- Let y solve B y = -e_a, and write y = V w.  Then D_r w_{<r} =
+  U_r B V w = -U_r e_a, so w_k = z_k / d for k < r.  As B V is 0 past
+  column r, B y = B V w = B V z / d = B x / d, so B x = -d e_a.
+
+So when r < size(T), a candidate that breaks an equation of B x = -d e_a
+(the equation of each star triple but a, of Eq(T, a), or a's symbol at d)
+proves the system inconsistent.  When r = size(T), B has full row rank,
+every such system is consistent, and a broken equation is a fault that
+raises InternalCheckFailed.
+
 A solution is solved and checked in integers: d times the values, d
 from the Smith diagonal, reduced once to (n, n * values) over the width
 n, the lcm of the values' denominators.  ``Solution`` holds that pair
@@ -235,30 +253,40 @@ def _from_source(T, a):
 
 
 def _own_form(T, a):
-    """Eq(T, a)'s answer off T's own Smith form.
+    """Eq(T, a)'s answer off T's own Smith form, through the candidate x = V z.
 
-    With r = rank B and x = V z, B x = -e_a is D z = -U e_a.  It is inconsistent iff
-    U[k][i] != 0 for some k >= r, i the pivot's row of B: row k of U is then a y with
-    y B = 0 (row k of U B V = D is 0, and V is invertible over Z) and y e_a != 0.
-    Otherwise, with d = d_r > 0, the largest nonzero d_k, which every d_k divides,
-    z_k = -U[k][i] d / d_k (k < r) gives x = V z, d times a solution; only the k
-    with U[k][i] != 0 contribute.
+    The module docstring proves that x decides consistency.  Only the k with
+    U[k][i] != 0 contribute to x.  When the system is consistent, x shifted by
+    x[a.row] k1 + x[a.col] k2 is d times a solution of Eq(T, a).
     """
     labels, snf = _relation_smith(T)
     i = T.star.index(a)
     m, r = len(labels), snf.rank
-    inconsistent = any(row[i] for row in snf.U[r:])
-    if inconsistent or m - r > 2:
-        return r - 1, m - r - 2, "no_solution" if inconsistent else "non_unique"
     d = snf.diagonal[r - 1]
     x = [0] * m
-    for k, (row, dk) in enumerate(zip(snf.U, snf.diagonal[:r])):
+    for k, (row, dk) in enumerate(zip(snf.U, snf.diagonal)):
         if row[i]:
             zk = -row[i] * (d // dk)
             x = [xj + Vj[k] * zk for xj, Vj in zip(x, snf.V)]
     x = dict(zip(labels, x))
     shift = (x[a.row], x[a.col], x[a.row] + x[a.col])  # x[a.row] k1 + x[a.col] k2 by role
-    return _checked(T, a, d, {lab: v - shift[lab.role] for lab, v in x.items()})
+    y = {lab: v - shift[lab.role] for lab, v in x.items()}
+    if r < T.size and _broken(T, a, d, y):
+        return r - 1, m - r - 2, "no_solution"
+    if m - r > 2:
+        return r - 1, m - r - 2, "non_unique"
+    return _checked(T, a, d, y)
+
+
+def _broken(T, a, d, y):
+    """The message of the first equation of Eq(T, a) that y breaks as d times a
+    solution, or None: each other star triple's, then the pivot's symbol at d."""
+    for p in T.star:
+        if p != a and y[p.row] + y[p.col] != y[p.sym]:
+            return f"solution breaks the equation of {p}"
+    if y[a.sym] != d:
+        return f"solution does not fix the pivot {a}'s symbol at 1"
+    return None
 
 
 def _checked(T, a, d, y):
@@ -270,11 +298,9 @@ def _checked(T, a, d, y):
     leg, meets it by construction) and, on a spherical T, every value in [0, d].
     The values over their width are y and d divided by g.
     """
-    for p in T.star:
-        if p != a and y[p.row] + y[p.col] != y[p.sym]:
-            raise InternalCheckFailed(f"solution breaks the equation of {p}")
-    if y[a.sym] != d:
-        raise InternalCheckFailed(f"solution does not fix the pivot {a}'s symbol at 1")
+    broken = _broken(T, a, d, y)
+    if broken:
+        raise InternalCheckFailed(broken)
     if not all(0 <= v <= d for v in y.values()) and T.spherical:
         raise InternalCheckFailed("spherical solution has a value outside [0, 1]")
     g = math.gcd(d, *y.values())

@@ -177,7 +177,14 @@ class Split:
 
 
 def split(T, tg, flood=None):
-    """Cut T along the trigon boundary into inner and outer parts; flood: _flood_inner(T, tg)."""
+    """Cut T along the trigon boundary into inner and outer parts; flood: _flood_inner(T, tg).
+
+    The star sizes of the pieces must add up to size + 1.  So must their
+    delta sizes, with no check of their own: every Bitrade that
+    ``build_bitrade`` returns has as many delta as star triples, since
+    for each free coordinate neither side repeats a pair key and both
+    sides have the same keys.
+    """
     inner_tri, inner_points = flood or _flood_inner(T, tg)
     c = tg.triple  # joins the inner star and the outer delta
     try:
@@ -189,8 +196,6 @@ def split(T, tg, flood=None):
 
     if inner.size + outer.size != T.size + 1:
         raise InternalCheckFailed("split star sizes do not add up to size + 1")
-    if len(inner.delta) + len(outer.delta) != T.size + 1:
-        raise InternalCheckFailed("split delta sizes do not add up to size + 1")
     if T.spherical:
         if not (inner.spherical and outer.spherical):
             raise InternalCheckFailed("split of a spherical bitrade is not spherical")

@@ -36,7 +36,8 @@ def _verify_smith(M, diagonal, U, V):
     must be integral.  U (M V) = D puts each row of D in rowlattice(M V);
     every column k of M V divisible by d_k (0 where d_k = 0 or past the
     diagonal) puts each row of M V in rowlattice(D).  Each failure raises
-    the library's message.
+    the library's message.  U may stop after its rank rows, as the
+    library's does, but must not stop before them.
     """
     try:
         invert_unimodular(V)
@@ -45,7 +46,7 @@ def _verify_smith(M, diagonal, U, V):
     MV = mat_mul(M, V)
     D = [[d if k == i else 0 for k in range(len(V))] for i, d in enumerate(diagonal)]
     D += [[0] * len(V) for _ in range(len(U) - len(diagonal))]
-    if mat_mul(U, MV) != D:
+    if len(U) < sum(1 for d in diagonal if d) or mat_mul(U, MV) != D[:len(U)]:
         raise InternalCheckFailed("smith normal form verification failed: U M V != D")
     diag = diagonal + [0] * (len(V) - len(diagonal))
     if any(x % d if d else x for row in MV for x, d in zip(row, diag)):

@@ -17,8 +17,10 @@ from bitrades.core import (
     AxiomViolation,
     BitradeError,
     EmptyInput,
+    InternalCheckFailed,
     Label,
     Triple,
+    _first_violation,
     build_bitrade,
     first_collision,
     is_indecomposable,
@@ -50,6 +52,12 @@ class TestValidation:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             build_bitrade([], [])
+
+    def test_first_violation_of_a_valid_bitrade_raises(self, ex45):
+        # build_bitrade asks for the violation only when the pair keys differ;
+        # on a valid bitrade every triple has exactly one partner
+        with pytest.raises(InternalCheckFailed, match="pair keys differ"):
+            _first_violation(ex45.star, ex45.delta)
 
     def test_duplicates(self, intercalate):
         star = list(intercalate.star)

@@ -11,7 +11,7 @@ from bitrades.exact import identity, smith_normal_form
 from bitrades.solver import relation_matrix
 from pivot_oracle import _integer_row, determinant, eliminate, rank
 from rational_oracle import invert_unimodular, mat_mul, transpose
-from smith_oracle import _verify_smith
+from smith_oracle import _verify_smith, determinantal_divisors
 
 
 def cofactor_det(A):
@@ -238,7 +238,10 @@ class TestSmithNormalForm:
     def test_transforms_are_unimodular(self, n, m, data):
         M = data.draw(matrices(n, m, st.integers(-9, 9)))
         snf = smith_normal_form(M)
-        invert_unimodular(snf.U)
+        # U keeps its rank rows, which extend to a unimodular matrix iff the gcd
+        # of their maximal minors is 1
+        assert len(snf.U) == snf.rank
+        assert not snf.U or determinantal_divisors(snf.U)[-1] == 1
         _verify_smith(M, snf.diagonal, snf.U, snf.V)  # V by its rational inverse
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(-3, 3).filter(bool), st.data())
@@ -249,9 +252,9 @@ class TestSmithNormalForm:
         M = data.draw(matrices(n, m, st.integers(-9, 9)))
         snf = smith_normal_form(M)
         U = [row[:] for row in snf.U]
-        i = data.draw(st.integers(0, n - 1))
         j = data.draw(st.integers(0, n - 1))
         assume(any(M[j]))
+        i = data.draw(st.integers(0, len(U) - 1))  # U has a row, as M is not 0
         U[i][j] += delta
         with pytest.raises(InternalCheckFailed, match="U M V != D"):
             _verify_smith(M, snf.diagonal, U, snf.V)
@@ -356,6 +359,16 @@ class TestLibraryCertificate:
                             lambda M, m, U, V: fault(*dense_smith(M, m, U, V), U, V))
         for M in self.with_blocks:
             with pytest.raises(InternalCheckFailed, match=message):
+                smith_normal_form(M)
+
+    def test_rejects_a_missing_rank_row(self, monkeypatch):
+        # every row U keeps still gives its row of D, but the last nonzero d_k
+        # has none, so rowlattice(D) would not be shown inside rowlattice(M V)
+        certify = exact._certify
+        monkeypatch.setattr(exact, "_certify", lambda M, diagonal, U, *rest:
+                            certify(M, diagonal, U[:-1], *rest))
+        for M in [*self.with_blocks, *self.Bs]:
+            with pytest.raises(InternalCheckFailed, match="U M V != D"):
                 smith_normal_form(M)
 
     @pytest.mark.parametrize("fault", [_add_to_an_earlier_pivot, _double_a_pivot_column])

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -191,10 +192,21 @@ def test_one_smith_form_of_B_per_bitrade(monkeypatch):
     assert shapes == [(len(B), len(labels))]
 
 
+def run_optimized(script):
+    """The standard output of `script` run by a child python -O, which must exit 0."""
+    src = str(Path(bitrades.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_spherical_H_check_survives_optimize_flag():
     # under python -O a bare assert vanishes; the check that G has free rank 2
     # on a spherical input, so that H is its torsion, must not
-    script = textwrap.dedent("""
+    out = run_optimized("""
         from bitrades import corpus, groups
         assert False, "asserts are on"
         groups.presentation = lambda T: groups.AbelianGroupStructure(3, (14,))
@@ -205,16 +217,37 @@ def test_spherical_H_check_survives_optimize_flag():
         else:
             print("no error")
     """)
-    src = str(Path(bitrades.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised: G must have free rank 2 for a spherical bitrade")
+    assert out.startswith("raised: G must have free rank 2 for a spherical bitrade")
+
+
+def test_additive_law_check_survives_optimize_flag():
+    out = run_optimized("""
+        from bitrades import corpus, groups, solver
+        assert False, "asserts are on"
+        T = corpus.example_4x5()
+        solver._relation_smith(T)[1].V[0][-1] += 1
+        try:
+            groups.canonical_images(T)
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("no error")
+    """)
+    assert out.startswith("raised: additive law fails at")
 
 
 class TestCanonicalImages:
+    def test_additive_law_fails_on_a_corrupted_form(self, ex45):
+        # V's row 0 changed after the form was certified: label 0's image moves
+        # on a free coordinate (d_k = 0, so nothing reduces it), and the first
+        # star triple holding label 0 breaks the law
+        S = build_bitrade(ex45.star, ex45.delta)
+        labels, form = solver._relation_smith(S)
+        form.V[0][-1] += 1
+        p = next(p for p in S.star if labels[0] in p)
+        with pytest.raises(InternalCheckFailed, match=re.escape(f"additive law fails at {p}")):
+            canonical_images(S)
+
     def test_additive_law_is_asserted(self, spherical_corpus, toroidal):
         for T in list(spherical_corpus.values()) + [toroidal]:
             ci = canonical_images(T)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 
 import bitrades
 import pivot_oracle
+import smith_oracle
 from bitrades import cli, corpus, solver
 from bitrades.core import COL, ROW, SYM, InternalCheckFailed, build_bitrade
 from bitrades.exact import smith_normal_form
@@ -24,6 +25,7 @@ from bitrades.solver import (
     Homotopy,
     PointedBitrade,
     SingularSystem,
+    Solution,
     induced_homotopy,
     is_separated_solution,
     near_values,
@@ -115,20 +117,23 @@ def fresh(T):
     return build_bitrade(T.star, T.delta)
 
 
-def assert_verdict_certified(S, pivot, result):
-    """A singular verdict rests on S's certified Smith form U B V = D.
+def assert_verdicts_certified(S, singular):
+    """Each singular verdict, a SingularSystem per pivot, is witnessed apart from the library.
 
-    no_solution: some row y of U past the rank has y B = 0 and y e_a != 0, so
-    B x = -e_a has no solution.  non_unique: m - rank B > 2 on the certified rank.
+    no_solution: some row y of the dense oracle form's U past the rank has y B = 0
+    and y e_a != 0, so B x = -e_a has no solution.  non_unique: m - rank B > 2 on
+    the library's certified rank.
     """
     B, labels = relation_matrix(S)
-    form = S._relation_smith[1]
-    a = S.star.index(pivot)
-    if result.status == "no_solution":
-        assert any(y[a] and not any(sum(map(operator.mul, y, column)) for column in zip(*B))
-                   for y in form.U[form.rank:])
-    else:
-        assert len(labels) - form.rank > 2
+    oracle = smith_oracle.smith_normal_form(B)
+    kernel = oracle.U[oracle.rank:]
+    assert not any(sum(map(operator.mul, y, column)) for y in kernel for column in zip(*B))
+    for pivot, result in singular.items():
+        a = S.star.index(pivot)
+        if result.status == "no_solution":
+            assert any(y[a] for y in kernel)
+        else:
+            assert len(labels) - S._relation_smith[1].rank > 2
 
 
 def assert_pivots_match_oracle(T):
@@ -137,13 +142,16 @@ def assert_pivots_match_oracle(T):
     S = fresh(T)
     results = solve_all(S, S.star)
     assert len(results) == S.size
+    singular = {}
     for pivot, result in zip(S.star, results):
         assert outcome(S, result) == pivot_oracle.solve_pointed(S, pivot)
         if isinstance(result, SingularSystem):
-            assert_verdict_certified(S, pivot, result)
+            singular[pivot] = result
         else:
             assert result.pivot == pivot and result.bitrade is S
             assert all(type(v) is Fraction for v in result.values.values())
+    if singular:
+        assert_verdicts_certified(S, singular)
     return results
 
 
@@ -440,6 +448,13 @@ class TestScaledView:
             count += 1
         assert count == (4 + 12 + 7 + sum(T.size for T in seeded_spherical)
                          + sum(T.size for T, _ in connected_sums) + 3)
+
+    def test_width_below_2_raises(self, ex45):
+        # every value an integer: width 1, which no pointed solution has
+        pointed = PointedBitrade(ex45, ex45.star[0])
+        sol = Solution(pointed, {lab: Fraction(0) for u in ex45.universes for lab in u})
+        with pytest.raises(InternalCheckFailed, match="solution width 1 is below 2"):
+            sol.width()
 
     def test_two_argument_solution(self, ex45):
         sol = solve(ex45, "r0", "c0", "s4")
