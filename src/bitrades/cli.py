@@ -134,7 +134,6 @@ def cmd_embed(args):
             doc["det_invariance"] = {
                 "common_value": det.common_value,
                 "pairs_checked": det.pairs_checked,
-                "all_equal": det.all_equal,
             }
         print(json.dumps(doc, indent=2))
     else:

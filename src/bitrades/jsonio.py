@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .core import COL, ROW, SYM, BitradeError, InternalCheckFailed, Label, Triple, build_bitrade
+from .core import COL, ROW, SYM, BitradeError, Label, Triple, build_bitrade
 
 
 class ParseError(BitradeError):
@@ -34,14 +34,17 @@ def _triples(doc, key, rows, cols, syms):
             return [tuple.__new__(Triple, (rows[r], cols[c], syms[s])) for r, c, s in raw]
         except (KeyError, TypeError, ValueError):  # an unknown or unhashable name, or not 3
             pass
-    for entry in raw:  # name the first entry that is not a triple of known names
+    # only a bad entry gets here, and the loop raises on it: an entry that is not a
+    # list skips the fast path, which fails only by ValueError (an entry not of three
+    # items), TypeError (an unhashable name) or KeyError (a name not in its table, as
+    # is every name that is not a string)
+    for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 3
                 and all(isinstance(x, str) for x in entry)):
             raise ParseError(f'bad entry in "{key}": {entry!r}')
         for name, table, role in zip(entry, (rows, cols, syms), ("rows", "cols", "syms")):
             if name not in table:
                 raise ParseError(f'unknown {role} label {name!r} in "{key}"')
-    raise InternalCheckFailed(f'every entry of "{key}" is a triple of known names')
 
 
 def loads(text):

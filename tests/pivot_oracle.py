@@ -4,11 +4,11 @@
 and ``solve_pointed`` solves it with the rational Gauss-Jordan of
 ``rational_oracle``, one elimination per pivot.  ``determinant`` is the
 Bareiss determinant, and ``check_det_invariance`` takes one of them per
-admissible deleted column pair.  ``eliminate`` is the fraction-free
-Gauss-Jordan elimination that solved every pivot and gave every minor
-before both were read off B's Smith form; ``rank`` counts the pivots of
-one such elimination, the rank of B before it, too, was read off the
-Smith form.
+admissible deleted column pair and says whether they all agree and are
+nonzero.  ``eliminate`` is the fraction-free Gauss-Jordan elimination
+that solved every pivot and gave every minor before both were read off
+B's Smith form; ``rank`` counts the pivots of one such elimination, the
+rank of B before it, too, was read off the Smith form.
 ``own_form`` solves a split piece from its own Smith form, as every
 piece was solved before pieces read their parents' solutions.
 ``width`` and ``near_values`` compute a solution's width and scaled
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import rational_oracle
 from bitrades import solver
@@ -161,8 +162,16 @@ def _bareiss(A):
     return sign * M[n - 1][n - 1]
 
 
+class Minors(NamedTuple):
+    """The library's report as the minors give it, and the minors' own verdicts."""
+
+    report: DetInvarianceReport
+    all_equal: bool  # every admissible minor has the same absolute value
+    nonzero: bool  # and that value is not 0
+
+
 def check_det_invariance(T):
-    """The deleted-column report from one Bareiss determinant per admissible pair."""
+    """Minors from one Bareiss determinant per admissible deleted column pair."""
     B, labels = relation_matrix(T)
     m = len(labels)
     o1, o2 = len(T.rows), len(T.cols)
@@ -173,12 +182,8 @@ def check_det_invariance(T):
         Bij = [[x for k, x in enumerate(row) if k not in (i, j)] for row in B]
         values.add(abs(determinant(Bij)))
     common = values.pop() if len(values) == 1 else None
-    return DetInvarianceReport(
-        common_value=common,
-        pairs_checked=len(pairs),
-        all_equal=common is not None,
-        nonzero=bool(common),
-    )
+    return Minors(DetInvarianceReport(common_value=common, pairs_checked=len(pairs)),
+                  all_equal=common is not None, nonzero=bool(common))
 
 
 def width(values):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import pivot_oracle
 from bitrades.core import COL, ROW, SYM, metrics
 from bitrades.exact import smith_normal_form
 from bitrades.geometry import dissect, extract_bitrade
@@ -124,8 +125,9 @@ def test_5_finite_abelian_embedding_suite(spherical_corpus):
 
 def test_6_relation_matrix_checks(spherical_corpus, intercalate):
     for T in spherical_corpus.values():
-        rep = check_det_invariance(T)
-        assert rep.all_equal and rep.nonzero
+        minors = pivot_oracle.check_det_invariance(T)
+        assert minors.all_equal and minors.nonzero
+        assert check_det_invariance(T) == minors.report
         r, nullity, trivial_only = integer_homotopy_rank(T)
         assert nullity == 2 and trivial_only
         for pivot in T.star:

@@ -255,9 +255,12 @@ class TestEmbed:
 
     def test_group_check_exit_6(self, corpus_dir, capsys, monkeypatch):
         # a spherical input whose G has free rank 3 fails the check that H is
-        # G's torsion, an InternalCheckFailed
-        monkeypatch.setattr(groups, "presentation",
-                            lambda T: groups.AbelianGroupStructure(3, (14,)))
+        # G's torsion, an InternalCheckFailed: B's kept form has its last d_k set to 0
+        def one_rank_short(M):
+            form = exact.smith_normal_form(M)
+            return exact.SmithForm([*form.diagonal[:-1], 0], form.U, form.V)
+
+        monkeypatch.setattr(solver, "smith_normal_form", one_rank_short)
         code, _, err = run(capsys, "embed", str(corpus_dir / "ex45.json"))
         assert code == 6 and "G must have free rank 2" in err and "torsion" in err
 
@@ -470,7 +473,7 @@ class TestReport:
             assert (code, forms) == (0, [True])
             det_B = {row["det_B"] for row in csv.DictReader(io.StringIO(out))}
             assert det_B == {str(groups.check_det_invariance(T).common_value)}
-            assert det_B == {str(pivot_oracle.check_det_invariance(T).common_value)}
+            assert det_B == {str(pivot_oracle.check_det_invariance(T).report.common_value)}
 
 
 class TestUsageErrors:

@@ -71,6 +71,30 @@ class TestPresentation:
         assert G.free_rank == 2
         assert G.invariant_factors == (4,)
 
+    @pytest.mark.parametrize("read", [
+        presentation, subgroup_H, canonical_images, is_abelian_embeddable,
+        check_det_invariance, integer_homotopy_rank,
+    ], ids=lambda read: read.__name__)
+    def test_every_reader_of_G_checks_its_free_rank(self, ex45, read):
+        # presentation is the one place that checks the spherical premise, and
+        # every other reader of G reads G through it before anything else
+        S = keep_form_one_rank_short(ex45)
+        with pytest.raises(InternalCheckFailed,
+                           match="^G must have free rank 2 for a spherical bitrade"):
+            read(S)
+
+
+def keep_form_one_rank_short(T):
+    """A fresh copy of spherical T whose kept Smith form of B has its last d_k set to 0.
+
+    Its G has free rank 3, which no spherical bitrade's G has.
+    """
+    S = build_bitrade(T.star, T.delta)
+    labels, form = solver._relation_smith(S)
+    assert form.diagonal[-1] != 0
+    S._relation_smith = labels, SmithForm([*form.diagonal[:-1], 0], form.U, form.V)
+    return S
+
 
 class TestSubgroupH:
     def test_intercalate(self, intercalate):
@@ -207,11 +231,14 @@ def test_spherical_H_check_survives_optimize_flag():
     # under python -O a bare assert vanishes; the check that G has free rank 2
     # on a spherical input, so that H is its torsion, must not
     out = run_optimized("""
-        from bitrades import corpus, groups
+        from bitrades import corpus, groups, solver
+        from bitrades.exact import SmithForm
         assert False, "asserts are on"
-        groups.presentation = lambda T: groups.AbelianGroupStructure(3, (14,))
+        T = corpus.example_4x5()
+        labels, form = solver._relation_smith(T)
+        T._relation_smith = labels, SmithForm([*form.diagonal[:-1], 0], form.U, form.V)
         try:
-            groups.subgroup_H(corpus.example_4x5())
+            groups.subgroup_H(T)
         except AssertionError as exc:
             print("raised:", exc)
         else:
@@ -285,7 +312,7 @@ class TestEmbeddability:
 class TestDetInvariance:
     def test_intercalate_value_2(self, intercalate):
         rep = check_det_invariance(intercalate)
-        assert rep.all_equal and rep.nonzero
+        assert pivot_oracle.check_det_invariance(intercalate) == (rep, True, True)
         assert rep.common_value == 2
         # admissible pairs: 2 rows x 4 later + 2 cols x 2 syms
         assert rep.pairs_checked == 12
@@ -297,9 +324,11 @@ class TestDetInvariance:
         assert abs(cofactor_det(Bij)) == 2
 
     def test_all_spherical(self, spherical_corpus, connected_sums):
+        # all_equal and nonzero are the oracle's verdicts over its computed minors
         for T in [*spherical_corpus.values(), *(T for T, _ in connected_sums)]:
-            rep = check_det_invariance(T)
-            assert rep.all_equal and rep.nonzero
+            minors = pivot_oracle.check_det_invariance(T)
+            assert minors.all_equal and minors.nonzero
+            assert check_det_invariance(T) == minors.report
 
     def test_det_B_of_a_connected_sum_is_the_parts_product(self, connected_sums):
         # an observed property, not proven: it held on every seeded sum tried,
@@ -320,13 +349,13 @@ class TestDetInvariance:
         # rank B < s, and every minor is 0
         with pytest.raises(ValueError, match="spherical"):
             check_det_invariance(sphere_and_torus)
-        rep = pivot_oracle.check_det_invariance(sphere_and_torus)
-        assert (rep.common_value, rep.nonzero) == (0, False)
+        minors = pivot_oracle.check_det_invariance(sphere_and_torus)
+        assert (minors.report.common_value, minors.all_equal, minors.nonzero) == (0, True, False)
         spherical = 0
         for T in [*spherical_corpus.values(), *seeded_spherical, toroidal, toroidal_swapped,
                   *(T for T, _, _ in products.values()), *cayley]:
             if T.spherical:
-                assert check_det_invariance(T) == pivot_oracle.check_det_invariance(T)
+                assert check_det_invariance(T) == pivot_oracle.check_det_invariance(T).report
                 spherical += 1
             else:  # B has more columns than rows + 2: no deleted-column minor is square
                 with pytest.raises(ValueError):
@@ -348,15 +377,12 @@ class TestDetInvariance:
                  for row in form.V]
             smith_oracle._verify_smith(relation_matrix(S)[0], form.diagonal, form.U, V)
             S._relation_smith = labels, SmithForm(form.diagonal, form.U, V)
-            assert check_det_invariance(S) == pivot_oracle.check_det_invariance(T)
+            assert check_det_invariance(S) == pivot_oracle.check_det_invariance(T).report
 
     def test_rank_below_size_raises(self, ex45):
         # every minor is |H| only when rank B = s; a form with a 0 on its
         # diagonal must stop the report, not give the minors a value
-        S = build_bitrade(ex45.star, ex45.delta)
-        labels, form = solver._relation_smith(S)
-        assert form.diagonal[-1] != 0
-        S._relation_smith = labels, SmithForm([*form.diagonal[:-1], 0], form.U, form.V)
+        S = keep_form_one_rank_short(ex45)
         with pytest.raises(InternalCheckFailed, match="free rank 2"):
             check_det_invariance(S)
 

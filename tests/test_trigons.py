@@ -1,21 +1,34 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import bitrades
 from bitrades import trigons
-from bitrades.core import COL, ROW, SYM, Triple, metrics, tau, tau_cycle
+from bitrades.core import (
+    COL,
+    ROW,
+    SYM,
+    InternalCheckFailed,
+    Triple,
+    build_bitrade,
+    metrics,
+    tau,
+    tau_cycle,
+)
 from bitrades.groups import canonical_images
-from bitrades.solver import PointedBitrade, induced_homotopy, solve_pointed
+from bitrades.solver import Homotopy, PointedBitrade, Solution, induced_homotopy, solve_pointed
 from bitrades.trigons import (
     ArgumentError,
     LemmaViolation,
     NotInShrinkSituation,
+    SpliceIdentityFailure,
     embed_product,
     find_trigons,
     locate_trigon,
@@ -26,8 +39,10 @@ from bitrades.trigons import (
     trigon_at,
 )
 from circumference_oracle import inner_circumference
+from conftest import triple_by_names
 from isotopy_oracle import is_isotopic
 from scan_oracle import scan_trigons_bruteforce
+from test_groups import run_optimized
 from walk_oracle import arc_lengths, flood_inner, path_steps
 
 
@@ -235,6 +250,136 @@ class TestLocateTrigon:
                 if b[i] != a[i]:
                     with pytest.raises(NotInShrinkSituation):
                         locate_trigon(PointedBitrade(ex45, a), sol, b, i)
+
+
+class TestTrigonChecks:
+    """Each run-time check of the trigon lemmas fires on the one fact it guards."""
+
+    @staticmethod
+    def shrink_case(nested):
+        """(pivot's solution, b, j): separating r2,c1,s1 from r0 at the row on nested."""
+        T = nested.bitrade
+        sol = solve_pointed(PointedBitrade(T, triple_by_names(T, "r2", "c1", "s1")))
+        return sol, next(t for t in T.star if t.row.name == "r0"), ROW
+
+    @staticmethod
+    def locating(sol, b, j):
+        return trigons._locate_trigon(sol.pointed, sol, b, j)
+
+    def test_mu_walk_end(self, nested, monkeypatch):
+        # a mu that fixes every triple closes the walk at its first triple,
+        # eta_{j-1}, which is not the opposite corner eta_{j+1}
+        monkeypatch.setattr(trigons, "mu", lambda T, r, s, c: c)
+        with pytest.raises(LemmaViolation,
+                           match="^mu walk did not end at the opposite corner triple$"):
+            self.locating(*self.shrink_case(nested))
+
+    def test_corner_degenerate(self, nested):
+        # move one symbol value so that the first corner triple, the delta
+        # partner of the pivot off the symbol, is degenerate; the pivot's and
+        # b's rows keep their equal values
+        sol, b, j = self.shrink_case(nested)
+        q = sol.bitrade.delta_partner(sol.pivot, SYM)
+        values = {**sol.values, q.sym: sol.values[q.row] + sol.values[q.col]}
+        with pytest.raises(LemmaViolation, match="^corner triples of the pivot degenerate$"):
+            self.locating(Solution(sol.pointed, values), b, j)
+
+    def test_consecutive_case(self, seeded_spherical):
+        # on this 10-triangle bitrade the mu walk's non-degenerate triples are
+        # at positions 0, 2 and 3, so the pair (2, 3) is consecutive and its
+        # beta must be a star triple; hide every star triple from in_star
+        S = build_bitrade(seeded_spherical[2].star, seeded_spherical[2].delta)
+        a, b = triple_by_names(S, "r0", "c2", "s1"), triple_by_names(S, "r3", "c0", "s2")
+        sol = solve_pointed(PointedBitrade(S, a))
+        S.in_star = lambda t: False
+        with pytest.raises(LemmaViolation,
+                           match=r"^\(r0,\S+,\S+\) expected in star \(consecutive case\)$"):
+            self.locating(sol, b, ROW)
+
+    def test_gap_case(self, nested, monkeypatch):
+        monkeypatch.setattr(trigons, "trigon_at", lambda T, c: None)
+        with pytest.raises(LemmaViolation,
+                           match=r"^\(r2,\S+,\S+\) expected to be a trigon \(gap case\)$"):
+            self.locating(*self.shrink_case(nested))
+
+    def test_exactly_one_trigon_with_b_outside(self, nested, monkeypatch):
+        sol, b, j = self.shrink_case(nested)
+        flood_inner = trigons._flood_inner
+
+        def b_inside(T, tg):
+            inner_tri, inner_points = flood_inner(T, tg)
+            return inner_tri, inner_points | {b}
+
+        monkeypatch.setattr(trigons, "_flood_inner", b_inside)
+        message = re.escape(f"expected exactly one trigon with {b} outside, found 0")
+        with pytest.raises(LemmaViolation, match=f"^{message}$"):
+            self.locating(sol, b, j)
+
+    def test_arc_bounds(self, nested, nested_trigon):
+        # every alpha read at position 0 of its tau cycle: each arc has length 0
+        S = build_bitrade(nested.bitrade.star, nested.bitrade.delta)
+        tau_cycle_at = S.tau_cycle_at
+        S.tau_cycle_at = lambda j, p: (tau_cycle_at(j, p)[0], 0)
+        c = nested_trigon.triple
+        with pytest.raises(InternalCheckFailed,
+                           match=f"^{re.escape(f'trigon arc bounds violated at {c}')}$"):
+            trigon_at(S, c)
+
+    def test_path_not_simple(self, nested, nested_trigon):
+        # one step past each arc's end reaches the next arc's first triple
+        overrun = replace(nested_trigon,
+                          arc_lengths=tuple(k + 1 for k in nested_trigon.arc_lengths))
+        with pytest.raises(SpliceIdentityFailure,
+                           match="^path around the trigon is not simple$"):
+            trigons._path_steps(nested.bitrade, overrun)
+
+    def test_product_map_collides(self, ex45, monkeypatch):
+        # a separation that returns the constant homotopy separates nothing
+        def constant(T, a, b, i):
+            return Homotopy.checked(T, 2, {lab: 0 for u in T.universes for lab in u})
+
+        monkeypatch.setattr(trigons, "separate", constant)
+        with pytest.raises(InternalCheckFailed, match=r"^product map collides at row\(r1\)$"):
+            embed_product(ex45)
+
+
+def test_trigon_checks_survive_optimize_flag():
+    # under python -O a bare assert vanishes; a lemma check, the simple-path
+    # check and the product collision check must not
+    out = run_optimized("""
+        from dataclasses import replace
+        from bitrades import corpus, trigons
+        from bitrades.solver import Homotopy, PointedBitrade, solve_pointed
+        assert False, "asserts are on"
+
+        def fires(run, *args):
+            try:
+                run(*args)
+            except trigons.InternalCheckFailed as exc:
+                print("raised:", exc)
+            else:
+                print("no error")
+
+        T = corpus.nested_intercalate().bitrade
+        a = next(t for t in T.star if t.names() == ("r2", "c1", "s1"))
+        b = next(t for t in T.star if t.row.name == "r0")
+        pointed = PointedBitrade(T, a)
+        sol = solve_pointed(pointed)
+        mu, trigons.mu = trigons.mu, lambda T, r, s, c: c
+        fires(trigons._locate_trigon, pointed, sol, b, 0)
+        trigons.mu = mu
+        (tg,) = trigons.find_trigons(T)
+        fires(trigons._path_steps, T, replace(tg, arc_lengths=tuple(k + 1 for k in tg.arc_lengths)))
+        trigons.separate = lambda T, a, b, i: Homotopy.checked(
+            T, 2, {lab: 0 for u in T.universes for lab in u})
+        fires(trigons.embed_product, corpus.example_4x5())
+    """)
+    lines = out.splitlines()
+    assert len(lines) == 3, out
+    for line, message in zip(lines, ["mu walk did not end at the opposite corner triple",
+                                     "path around the trigon is not simple",
+                                     "product map collides at"]):
+        assert line.startswith("raised: " + message), line
 
 
 class TestSeparate:
