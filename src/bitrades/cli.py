@@ -256,8 +256,10 @@ def cmd_report(args):
     with sink as out:
         writer = csv.DictWriter(out, fieldnames=REPORT_FIELDS, restval="")
         writer.writeheader()
+        own = args.output and Path(args.output).resolve()  # the output file is no input
         for path in sorted(directory.glob("*.json")):
-            writer.writerows(_report_file(path))
+            if not own or path.resolve() != own:
+                writer.writerows(_report_file(path))
     return EXIT_OK
 
 

@@ -49,9 +49,9 @@ pivot, is not solved again.  Only plain integers are kept, never a
 the bitrade for the cyclic garbage collector to free instead of
 reference counting.
 
-A piece of a trigon split takes no Smith form of its own.  ``split`` of
-a spherical T sets each piece's ``_source`` to T, and the piece's
-solutions are read off T's:
+A piece of a trigon split takes no Smith form of its own at its outer
+pivots or its trigon triple.  ``split`` of a spherical T sets each piece's
+``_source`` to T, and the piece's solutions are read off T's:
 
 - Both pieces are built from T's triples, plus the trigon triple c, so
   every equation of a piece but c's is an equation of T.  Let S be a
@@ -74,13 +74,27 @@ solutions are read off T's:
   outer piece at every depth reads the root's one Smith form, and an
   inner piece at c reads it through its parent.
 
+Some α has leg != 0, so where none has, T's kept answers are corrupt
+and the piece raises InternalCheckFailed.  With y_α T's solution at α
+over its width n:
+
+- Outer piece: α = a, and leg = y_a[a.sym] - y_a[a.row] - y_a[a.col] = n.
+- Inner piece S at c, P the inner points (star(S) = P ∪ {c}, so |P| =
+  size(S) - 1): were the leg 0 at every α outside P, each such y_α on
+  S's labels would satisfy all of S's equations and so lie in ker B_S =
+  span(k1, k2), S being spherical.  But T has full row rank (the premise
+  that ``groups.presentation`` checks) and B y_α = -n e_α, so {y_α} ∪
+  {k1, k2} spans Q^{m_T}, and on S's labels, all labels of T, it spans
+  Q^{m_S}.  It would span at most span(k1, k2) and the |P| vectors y_α
+  with α in P: size(S) + 1 < m_S = size(S) + 2 dimensions.
+
 The inner piece tries first the pivots that T has already solved, most
 recent first (in a separation, the pivot a2 at which the outer piece was
-just solved), then T's other star triples in star order.  Where no α
-gives leg != 0, or where S's other star triples are not all in T's star
-(the inner piece at any pivot but c), S takes its own Smith form.  Both
-paths run the same checks on S.  A piece refers to T, but T never to a
-piece, so no reference cycle forms.
+just solved), then T's other star triples in star order.  Only the inner
+piece at a pivot other than c takes its own Smith form, as c's equation,
+which is not T's, is then in its system; no caller in the library solves
+it.  Both paths run the same checks on S.  A piece refers to T, but T
+never to a piece, so no reference cycle forms.
 """
 
 from __future__ import annotations
@@ -205,32 +219,29 @@ def solve_pointed(pointed):
     InternalCheckFailed.  The checked answer is kept on T, so each (T, a) is solved
     at most once.
     """
-    T, a = pointed.bitrade, pointed.pivot
-    known = T._solutions.get(a)
-    if known is None:
-        known = T._solutions[a] = _solve(T, a)
+    known = _answer(pointed.bitrade, pointed.pivot)
     if len(known) == 3:  # (rank, nullity, status), not (n, scaled)
         raise SingularSystem(*known)
     n, scaled = known
     return Solution._over_width(pointed, n, dict(scaled))
 
 
-def _solve(T, a):
-    """Eq(T, a)'s checked (n, {label: n * value}), or (rank, nullity, status) if singular.
-
-    A split piece reads it off its parent's solution where it can (see the module
-    docstring); otherwise T's own Smith form gives it, as ``_own_form`` shows.
-    """
-    if T._source is not None:
-        known = _from_source(T, a)
-        if known is not None:
-            return known
-    return _own_form(T, a)
+def _answer(T, a):
+    """T's kept answer at a, solved on the first read (off its parent's where
+    ``_from_source`` gives it, else off T's own form): Eq(T, a)'s checked
+    (n, {label: n * value}), or (rank, nullity, status) if it is singular."""
+    known = T._solutions.get(a)
+    if known is None:  # _from_source gives None or a nonempty tuple
+        known = (T._source is not None and _from_source(T, a)) or _own_form(T, a)
+        T._solutions[a] = known
+    return known
 
 
 def _from_source(T, a):
-    """Eq(T, a)'s checked answer read off a solution of T's parent, or None if
-    no pivot of the parent gives it."""
+    """Eq(T, a)'s checked answer off the first of its parent's kept answers with
+    leg != 0 (a singular one counts as 0), or None at an inner piece's pivot other
+    than its trigon triple.  The module docstring proves that a consistent parent
+    has one, so where none has leg != 0, InternalCheckFailed is raised."""
     parent = T._source
     outside = [p for p in T.star if not parent.in_star(p)]
     if not outside:  # an outer piece: its solution at a is the parent's, restricted
@@ -242,14 +253,17 @@ def _from_source(T, a):
     else:
         return None
     for alpha in alphas:
-        _, y = solve_pointed(PointedBitrade(parent, alpha)).scaled
+        known = _answer(parent, alpha)
+        if len(known) == 3:  # singular: no solution y to read
+            continue
+        _, y = known
         leg = y[a.sym] - y[a.row] - y[a.col]
         if leg:
             sign = 1 if leg > 0 else -1
             shift = (y[a.row], y[a.col], y[a.row] + y[a.col])  # by role, as in _own_form
             return _checked(T, a, abs(leg), {lab: sign * (y[lab] - shift[lab.role])
                                              for universe in T.universes for lab in universe})
-    return None
+    raise InternalCheckFailed(f"no pivot of the spherical parent gives the piece's system at {a}")
 
 
 def _own_form(T, a):
@@ -345,14 +359,5 @@ class Homotopy:
 
 def induced_homotopy(sol):
     """Scale the solution by its width and reduce mod the width."""
-    n, scaled = near_values(sol)
-    return Homotopy.checked(sol.bitrade, n, {lab: v % n for lab, v in scaled.items()})
-
-
-def near_values(sol):
-    """Unreduced scaled values: n * value, so the pivot symbol maps to n.
-
-    The width n is the lcm of the values' denominators, so every n * value
-    is an integer.
-    """
-    return sol.width(), dict(sol.scaled[1])
+    n = sol.width()
+    return Homotopy.checked(sol.bitrade, n, {lab: v % n for lab, v in sol.scaled[1].items()})

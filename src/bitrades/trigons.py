@@ -23,13 +23,7 @@ from .core import (
     first_collision,
     mu,
 )
-from .solver import (
-    Homotopy,
-    PointedBitrade,
-    induced_homotopy,
-    near_values,
-    solve_pointed,
-)
+from .solver import Homotopy, PointedBitrade, induced_homotopy, solve_pointed
 
 
 class SpliceIdentityFailure(InternalCheckFailed):
@@ -213,7 +207,7 @@ def recombine(T, sp, phi):
     c = sp.trigon.triple
     m = phi.modulus
     sol1 = solve_pointed(PointedBitrade(sp.inner, c))
-    n, psi_bar = near_values(sol1)
+    n, psi_bar = sol1.width(), sol1.scaled[1]
     mn = m * n
 
     h = {ROW: n * phi(c.row) % mn, COL: n * phi(c.col) % mn}
@@ -237,8 +231,9 @@ def recombine(T, sp, phi):
     return Homotopy.checked(T, mn, maps)
 
 
-def locate_trigon(pointed, sol, b, j):
-    """Find the trigon that blocks separating b from the pivot at coordinate j.
+def locate_trigon(sol, b, j):
+    """(trigon, _flood_inner of the trigon): the trigon that blocks separating b
+    from sol's pivot at coordinate j.
 
     Preconditions: the solution assigns equal values to the pivot's and
     b's labels at coordinate j although the labels differ.  Walks the mu
@@ -246,12 +241,7 @@ def locate_trigon(pointed, sol, b, j):
     triples, and returns the unique gap trigon having b outside (b not
     among the star triples that its flood fill reaches).
     """
-    return _locate_trigon(pointed, sol, b, j)[0]
-
-
-def _locate_trigon(pointed, sol, b, j):
-    """locate_trigon's (trigon, _flood_inner of the trigon)."""
-    T, a = pointed.bitrade, pointed.pivot
+    T, a = sol.bitrade, sol.pivot
     y = sol.scaled[1]
     if b[j] == a[j] or y[b[j]] != y[a[j]]:
         raise NotInShrinkSituation(
@@ -299,8 +289,7 @@ def _locate_trigon(pointed, sol, b, j):
 
 
 def _separate(T, a, b, i, depth):
-    pointed = PointedBitrade(T, a)
-    sol = solve_pointed(pointed)
+    sol = solve_pointed(PointedBitrade(T, a))
     hom = induced_homotopy(sol)
     if hom.separates(a[i], b[i]):
         return hom, depth
@@ -309,7 +298,7 @@ def _separate(T, a, b, i, depth):
             f"the solution does not separate {a[i]} from {b[i]}, "
             "and trigon splits need a spherical bitrade"
         )
-    sp = split(T, *_locate_trigon(pointed, sol, b, i))
+    sp = split(T, *locate_trigon(sol, b, i))
     outer = sp.outer
     if len(outer.delta) >= len(T.delta):
         raise InternalCheckFailed("the outer bitrade of a split is not smaller")

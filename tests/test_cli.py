@@ -359,6 +359,22 @@ class TestReport:
         assert len(ex45_rows) == 12
         assert any(",14," in ln for ln in ex45_rows)
 
+    def test_output_file_inside_the_directory_is_no_input(self, corpus_dir, tmp_path, capsys):
+        # the output file exists once report opens it, before the directory is listed;
+        # it is left out by its resolved path, however the -o argument spells it
+        _, expected, _ = run(capsys, "report", str(corpus_dir))
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for path in corpus_dir.glob("*.json"):
+            (inputs / path.name).write_bytes(path.read_bytes())
+        for spelled in (inputs / "out.json", inputs / ".." / "inputs" / "own.json"):
+            code, out, _ = run(capsys, "report", str(inputs), "-o", str(spelled))
+            assert (code, out) == (0, "")
+            written = spelled.read_text()
+            assert "parse error" not in written
+            assert written.splitlines() == expected.splitlines()
+            spelled.unlink()
+
     def test_rows_match_single_pivot_solves(self, corpus_dir, capsys):
         code, out, _ = run(capsys, "report", str(corpus_dir))
         assert code == 0

@@ -256,7 +256,7 @@ class TestSmithNormalForm:
         assume(any(M[j]))
         i = data.draw(st.integers(0, len(U) - 1))  # U has a row, as M is not 0
         U[i][j] += delta
-        with pytest.raises(InternalCheckFailed, match="U M V != D"):
+        with pytest.raises(InternalCheckFailed, match="verification failed: U M V != D"):
             _verify_smith(M, snf.diagonal, U, snf.V)
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 5), st.data())
@@ -279,7 +279,7 @@ class TestSmithNormalForm:
     def test_failure_is_an_internal_check(self):
         M = [[2, 4], [6, 8]]
         snf = smith_normal_form(M)
-        with pytest.raises(InternalCheckFailed, match="U M V != D"):
+        with pytest.raises(InternalCheckFailed, match="verification failed: U M V != D"):
             _verify_smith(M, [2 * d for d in snf.diagonal], snf.U, snf.V)
         with pytest.raises(InternalCheckFailed, match="not unimodular"):
             _verify_smith(M, snf.diagonal, snf.U, [[2 * x for x in row] for row in snf.V])
@@ -368,7 +368,7 @@ class TestLibraryCertificate:
         monkeypatch.setattr(exact, "_certify", lambda M, diagonal, U, *rest:
                             certify(M, diagonal, U[:-1], *rest))
         for M in [*self.with_blocks, *self.Bs]:
-            with pytest.raises(InternalCheckFailed, match="U M V != D"):
+            with pytest.raises(InternalCheckFailed, match="verification failed: U M V != D"):
                 smith_normal_form(M)
 
     @pytest.mark.parametrize("fault", [_add_to_an_earlier_pivot, _double_a_pivot_column])

@@ -28,7 +28,6 @@ from bitrades.solver import (
     Solution,
     induced_homotopy,
     is_separated_solution,
-    near_values,
     relation_matrix,
     solve_pointed,
 )
@@ -222,7 +221,7 @@ def other_triples(T, a):
 def count_solves(monkeypatch, T, forms, solves):
     """Count the Smith forms of T's B in forms, and per pivot a the solves of T's Eq(T, a)."""
     B, _ = relation_matrix(T)
-    smith, solve = solver.smith_normal_form, solver._solve
+    smith, solve = solver.smith_normal_form, solver._own_form
 
     def counting_smith(M):
         forms.append(M == B)
@@ -234,7 +233,7 @@ def count_solves(monkeypatch, T, forms, solves):
         return solve(S, a)
 
     monkeypatch.setattr(solver, "smith_normal_form", counting_smith)
-    monkeypatch.setattr(solver, "_solve", counting_solve)
+    monkeypatch.setattr(solver, "_own_form", counting_solve)
 
 
 class TestSolutionMemo:
@@ -396,7 +395,7 @@ class TestHomotopy:
 
     def test_near_values(self, intercalate):
         sol = solve(intercalate, "r0", "c0", "s0")
-        n, near = near_values(sol)
+        n, near = sol.width(), sol.scaled[1]
         assert n == 2
         pivot = sol.pivot
         assert near[pivot.sym] == n
@@ -441,7 +440,7 @@ class TestScaledView:
             n, near = pivot_oracle.near_values(expected)
             sol = solve_pointed(PointedBitrade(T, pivot))
             assert sol.width() == pivot_oracle.width(expected) == n
-            assert near_values(sol) == (n, near) == sol.scaled
+            assert (sol.width(), sol.scaled[1]) == (n, near) == sol.scaled
             assert induced_homotopy(sol).maps == {lab: v % n for lab, v in near.items()}
             assert sol.values == expected
             assert sol.values is sol.values  # built once, on the first read

@@ -21,7 +21,7 @@ import pytest
 import bitrades
 from bitrades import corpus, solver, trigons
 from bitrades.core import InternalCheckFailed, build_bitrade
-from bitrades.solver import Homotopy, PointedBitrade, induced_homotopy, solve_pointed
+from bitrades.solver import Homotopy, PointedBitrade, Solution, induced_homotopy, solve_pointed
 from bitrades.trigons import Split, SplitInvalid, find_trigons, separate_trace, split
 from conftest import connected_sum, triple_by_names
 from pivot_oracle import own_form
@@ -141,25 +141,26 @@ class TestPiecesMatchTheirOwnForm:
         a = triple_by_names(S, "r0", "c1+4", "s1+4")
         b = triple_by_names(S, "r1", "c0", "s1")
         read = []
-        real = solver.solve_pointed
+        real = solver._answer
 
-        def logging(pointed):
-            if pointed.bitrade is S:
-                read.append(pointed.pivot)
-            return real(pointed)
+        def logging(T, pivot):
+            if T is S:
+                read.append(pivot)
+            return real(T, pivot)
 
-        monkeypatch.setattr(solver, "solve_pointed", logging)
+        monkeypatch.setattr(solver, "_answer", logging)
         hom, depth = separate_trace(S, a, b, 0)
         monkeypatch.undo()
         assert depth == 1 and hom.separates(a.row, b.row)
         (sp,) = recorded_splits
         c = sp.trigon.triple
         a2 = next(p for p in sp.outer.star if p.row == a.row)
-        # the outer solve reads S at a2, then the inner solve tries a2 again first
-        assert read[:2] == [a2, a2] and leg(S, a2, c) == 0
-        assert len(read) > 2 and leg(S, read[-1], c) != 0
-        assert all(leg(S, alpha, c) == 0 for alpha in read[2:-1])
-        assert not any(sp.inner.in_star(alpha) for alpha in read)
+        # S's own solve at a, then the outer solve reads S at a2, then the inner
+        # solve tries a2 again first
+        assert read[:3] == [a, a2, a2] and leg(S, a2, c) == 0
+        assert len(read) > 3 and leg(S, read[-1], c) != 0
+        assert all(leg(S, alpha, c) == 0 for alpha in read[3:-1])
+        assert not any(sp.inner.in_star(alpha) for alpha in read[1:])
         assert solve_pointed(PointedBitrade(sp.inner, c)).scaled == own_form(sp.inner, c)
         assert sp.inner._relation_smith is None
 
@@ -174,17 +175,45 @@ class TestPiecesMatchTheirOwnForm:
                 assert solve_pointed(PointedBitrade(sp.inner, p)).scaled == own_form(sp.inner, p)
         assert sp.inner._relation_smith is not None and T._solutions == {}
 
-    def test_inner_piece_takes_its_own_form_when_every_leg_is_0(self, nested_trigon, nested):
+    @staticmethod
+    def no_parent_pivot(piece, a):
+        """Solving the piece at a raises the no-pivot check, and keeps and forms nothing."""
+        message = re.escape(f"no pivot of the spherical parent gives the piece's system at {a}")
+        with pytest.raises(InternalCheckFailed, match=message):
+            solve_pointed(PointedBitrade(piece, a))
+        assert a not in piece._solutions and piece._relation_smith is None
+
+    def test_inner_piece_raises_when_every_leg_is_0(self, nested_trigon, nested):
         """The parent's kept solution at every pivot outside the inner points is
-        changed at c's symbol so that its leg is 0, so none of them is read."""
+        changed at c's symbol so that its leg is 0: the module docstring proves
+        that a consistent parent has some pivot with leg != 0, so this raises."""
         T = fresh(nested.bitrade)
         sp = split(T, nested_trigon)
         c = nested_trigon.triple
         for p in sp.outer.star:
             n, y = solve_pointed(PointedBitrade(T, p)).scaled
             T._solutions[p] = n, {**y, c.sym: y[c.row] + y[c.col]}
-        assert solve_pointed(PointedBitrade(sp.inner, c)).scaled == own_form(sp.inner, c)
-        assert sp.inner._relation_smith is not None
+        self.no_parent_pivot(sp.inner, c)
+
+    def test_inner_piece_raises_on_singular_parent_answers(self, nested_trigon, nested):
+        """A spherical parent has no singular pivot, so a kept (rank, nullity,
+        status) answer counts as leg 0, and with one at every candidate pivot the
+        inner piece at c raises."""
+        T = fresh(nested.bitrade)
+        sp = split(T, nested_trigon)
+        for p in sp.outer.star:
+            T._solutions[p] = T.size - 1, 0, "no_solution"
+        self.no_parent_pivot(sp.inner, nested_trigon.triple)
+
+    def test_outer_piece_raises_on_a_zero_leg(self, nested_trigon, nested):
+        """An outer piece reads the parent at its own pivot a only, whose leg is the
+        width n >= 2; a kept parent answer at a with leg 0 raises."""
+        T = fresh(nested.bitrade)
+        sp = split(T, nested_trigon)
+        a = sp.outer.star[0]
+        n, y = solve_pointed(PointedBitrade(T, a)).scaled
+        T._solutions[a] = n, {**y, a.sym: 0}
+        self.no_parent_pivot(sp.outer, a)
 
     def test_no_parent_for_a_piece_of_a_non_spherical_bitrade(self, nested_trigon, nested):
         T = fresh(nested.bitrade)
@@ -236,15 +265,14 @@ class TestSplitChecks:
         outer_labels = {lab for universe in sp.outer.universes for lab in universe}
         lost = next(lab for universe in T.universes for lab in universe
                     if lab not in outer_labels)
-        near_values = trigons.near_values
-
-        def dropping(sol):
-            n, values = near_values(sol)
-            del values[lost]
-            return n, values
-
-        monkeypatch.setattr(trigons, "near_values", dropping)
         phi = induced_homotopy(solve_pointed(PointedBitrade(sp.outer, sp.outer.star[0])))
+
+        def dropping(pointed):  # recombine's solve of the inner piece, without `lost`
+            n, values = solve_pointed(pointed).scaled
+            del values[lost]
+            return Solution._over_width(pointed, n, values)
+
+        monkeypatch.setattr(trigons, "solve_pointed", dropping)
         message = re.escape(f"label {lost!r} lost in the split")
         with pytest.raises(InternalCheckFailed, match=message):
             trigons.recombine(T, sp, phi)
@@ -331,7 +359,8 @@ class TestPieceSolveChecks:
         # plus d (k1 - k2): rows up by d, columns down by d, every equation and the
         # pivot's symbol kept
         shifted = {lab: v + d * (lab.role == 0) - d * (lab.role == 1) for lab, v in y.items()}
-        with pytest.raises(InternalCheckFailed, match="value outside"):
+        with pytest.raises(InternalCheckFailed,
+                           match=re.escape("spherical solution has a value outside [0, 1]")):
             solver._checked(S, a, d, shifted)
 
 
@@ -374,12 +403,22 @@ def test_split_checks_survive_optimize_flag():
             T._solutions[p] = n, {**y, lab: y[lab] + 1}
             solve_pointed(PointedBitrade(sp.outer, p))
 
+        def zero_legs(T):
+            (tg,) = trigons.find_trigons(T)
+            sp = split(T, tg)
+            c = tg.triple
+            for p in sp.outer.star:
+                n, y = solve_pointed(PointedBitrade(T, p)).scaled
+                T._solutions[p] = n, {**y, c.sym: y[c.row] + y[c.col]}
+            solve_pointed(PointedBitrade(sp.inner, c))
+
         trigons.split = not_smaller
         fires(separate)
         trigons.split, trigons.recombine = split, zero
         fires(separate)
         trigons.recombine = recombine
         fires(corrupted_parent)
+        fires(zero_legs)
     """)
     src = str(Path(bitrades.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -388,10 +427,11 @@ def test_split_checks_survive_optimize_flag():
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 3, done.stdout
+    assert len(lines) == 4, done.stdout
     for line, message in zip(lines, ["the outer bitrade of a split is not smaller",
                                      "lifted homotopy does not separate row(r2) from row(r0)",
-                                     "solution breaks the equation of"]):
+                                     "solution breaks the equation of",
+                                     "no pivot of the spherical parent gives the piece's system"]):
         assert line.startswith("raised: " + message), line
 
 

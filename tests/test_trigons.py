@@ -238,8 +238,9 @@ class TestLocateTrigon:
         cases = shrink_cases(T)
         assert cases  # the size-7 instance has colliding pivots
         for a, b, i, sol in cases:
-            tg = locate_trigon(PointedBitrade(T, a), sol, b, i)
+            tg, flood = locate_trigon(sol, b, i)
             assert tg.triple == nested_trigon.triple
+            assert flood == trigons._flood_inner(T, tg)
             assert tg.triple[i] == a[i]
 
     def test_not_in_shrink_situation(self, ex45):
@@ -249,7 +250,7 @@ class TestLocateTrigon:
             for i in range(3):
                 if b[i] != a[i]:
                     with pytest.raises(NotInShrinkSituation):
-                        locate_trigon(PointedBitrade(ex45, a), sol, b, i)
+                        locate_trigon(sol, b, i)
 
 
 class TestTrigonChecks:
@@ -264,7 +265,7 @@ class TestTrigonChecks:
 
     @staticmethod
     def locating(sol, b, j):
-        return trigons._locate_trigon(sol.pointed, sol, b, j)
+        return trigons.locate_trigon(sol, b, j)
 
     def test_mu_walk_end(self, nested, monkeypatch):
         # a mu that fixes every triple closes the walk at its first triple,
@@ -363,10 +364,9 @@ def test_trigon_checks_survive_optimize_flag():
         T = corpus.nested_intercalate().bitrade
         a = next(t for t in T.star if t.names() == ("r2", "c1", "s1"))
         b = next(t for t in T.star if t.row.name == "r0")
-        pointed = PointedBitrade(T, a)
-        sol = solve_pointed(pointed)
+        sol = solve_pointed(PointedBitrade(T, a))
         mu, trigons.mu = trigons.mu, lambda T, r, s, c: c
-        fires(trigons._locate_trigon, pointed, sol, b, 0)
+        fires(trigons.locate_trigon, sol, b, 0)
         trigons.mu = mu
         (tg,) = trigons.find_trigons(T)
         fires(trigons._path_steps, T, replace(tg, arc_lengths=tuple(k + 1 for k in tg.arc_lengths)))
@@ -426,7 +426,7 @@ class TestSeparate:
 
         counted("split")
         counted("build_bitrade")
-        locate = trigons._locate_trigon
+        locate = trigons.locate_trigon
 
         def locate_building_nothing(*args):
             built = calls["build_bitrade"]
@@ -434,7 +434,7 @@ class TestSeparate:
             assert calls["build_bitrade"] == built
             return hit
 
-        monkeypatch.setattr(trigons, "_locate_trigon", locate_building_nothing)
+        monkeypatch.setattr(trigons, "locate_trigon", locate_building_nothing)
         depths = []
         for T in [nested.bitrade, *seeded_spherical, *(T for T, _ in connected_sums)]:
             for a in T.star:
@@ -480,7 +480,7 @@ class TestSeparate:
 
         counted("_flood_inner")
         counted("trigon_at")
-        inside("_locate_trigon", "locate")
+        inside("locate_trigon", "locate")
         inside("split", "split")
         recursed = 0
         for T in [nested.bitrade, *seeded_spherical]:
@@ -550,12 +550,20 @@ def test_recombination_check_survives_optimize_flag():
     # under python -O a bare assert vanishes; the recombination check must not
     script = textwrap.dedent("""
         from bitrades import corpus, trigons
+        from bitrades.solver import Solution
         assert False, "asserts are on"
-        near_values = trigons.near_values
-        def shifted(sol):
-            n, values = near_values(sol)
-            return n, {lab: v + 1 for lab, v in values.items()}
-        trigons.near_values = shifted
+        recombine, solve_pointed = trigons.recombine, trigons.solve_pointed
+        def shifted(pointed):
+            n, values = solve_pointed(pointed).scaled
+            return Solution._over_width(pointed, n, {lab: v + 1 for lab, v in values.items()})
+        def recombine_shifted(*args):
+            # the inner piece's values are shifted in recombine only, not in the outer solve
+            trigons.solve_pointed = shifted
+            try:
+                return recombine(*args)
+            finally:
+                trigons.solve_pointed = solve_pointed
+        trigons.recombine = recombine_shifted
         T = corpus.nested_intercalate().bitrade
         a = next(t for t in T.star if t.names() == ("r2", "c1", "s1"))
         b = next(t for t in T.star if t.row.name == "r0")
