@@ -12,7 +12,6 @@ permutations mu, nu and tau_j step from partner to partner.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -331,8 +330,7 @@ def first_collision(T, image):
     return None
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     size: int
     o1: int
     o2: int

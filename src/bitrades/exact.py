@@ -32,9 +32,9 @@ from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
+from typing import NamedTuple
 
 from .core import InternalCheckFailed
 
@@ -43,8 +43,7 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-@dataclass
-class SmithForm:
+class SmithForm(NamedTuple):
     """U @ M @ V = D_r with D = diag(d_1 | d_2 | ...), certified for cokernels.
 
     U holds only the first r = rank rows of the row transform, one per

@@ -63,6 +63,9 @@ class ValenceSix(BitradeError):
         super().__init__(f"vertex {point} has six incident triangle corners")
 
 
+# The library's one dataclass; every other result record is a NamedTuple, which
+# imports faster.  perfbench/tests/test_checks.py builds faulty reports with
+# dataclasses.replace, which takes only a dataclass.
 @dataclass(frozen=True)
 class DissectionReport:
     contained: bool

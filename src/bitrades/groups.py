@@ -24,8 +24,8 @@ rank B - 1 and nullity nullity B - 2 (see ``solver``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .core import InternalCheckFailed, first_collision
 # not called here (B's one Smith form is made in solver): the benchmark's
@@ -34,8 +34,7 @@ from .exact import smith_normal_form
 from .solver import _relation_smith
 
 
-@dataclass(frozen=True)
-class AbelianGroupStructure:
+class AbelianGroupStructure(NamedTuple):
     free_rank: int
     invariant_factors: tuple  # each > 1, divisibility chain
 
@@ -68,8 +67,7 @@ def presentation(T):
     return AbelianGroupStructure(free_rank, tuple(snf.invariant_factors))
 
 
-@dataclass(frozen=True)
-class CanonicalImages:
+class CanonicalImages(NamedTuple):
     """Coordinates of each label's class in the SNF basis of G(T).
 
     Each image is a tuple: torsion coordinates (mod their invariant
@@ -144,8 +142,7 @@ def subgroup_H(T):
     return AbelianGroupStructure(G.free_rank - 2, G.invariant_factors)
 
 
-@dataclass(frozen=True)
-class DetInvarianceReport:
+class DetInvarianceReport(NamedTuple):
     common_value: int
     pairs_checked: int
 

@@ -101,8 +101,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import Bitrade, BitradeError, InternalCheckFailed, Triple, first_collision
 from .exact import smith_normal_form
@@ -120,14 +120,23 @@ class SingularSystem(BitradeError):
         super().__init__(f"pointed system is singular (rank {rank}, {detail})")
 
 
-@dataclass(frozen=True)
-class PointedBitrade:
+class _PointedBitrade(NamedTuple):
     bitrade: Bitrade
     pivot: Triple
 
-    def __post_init__(self):
-        if not self.bitrade.in_star(self.pivot):
-            raise ValueError(f"pivot {self.pivot} is not a star triple")
+
+class PointedBitrade(_PointedBitrade):
+    # the pivot check needs a __new__, which a NamedTuple class body may not define
+    __slots__ = ()
+
+    def __new__(cls, bitrade, pivot):
+        if not bitrade.in_star(pivot):
+            raise ValueError(f"pivot {pivot} is not a star triple")
+        return super().__new__(cls, bitrade, pivot)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace runs the check too
+        return cls(*iterable)
 
 
 def relation_matrix(T):
@@ -331,8 +340,7 @@ def is_separated_solution(sol):
     return witness is None, witness
 
 
-@dataclass(frozen=True)
-class Homotopy:
+class Homotopy(NamedTuple):
     """Role-preserving map from labels into Z_modulus.
 
     Satisfies maps[row] + maps[col] == maps[sym] (mod modulus) on every

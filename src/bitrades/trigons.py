@@ -9,7 +9,7 @@ the exact solution of the inner part into homotopies of the whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     COL,
@@ -51,8 +51,7 @@ class NotSpherical(BitradeError):
     spherical, so no trigon split is proven to separate it."""
 
 
-@dataclass(frozen=True)
-class Trigon:
+class Trigon(NamedTuple):
     triple: Triple  # c, not in star
     corners: tuple  # delta triples, corners[j] differs from c exactly at j
     alphas: tuple  # star triples, alphas[j] differs from c exactly at j
@@ -163,8 +162,7 @@ def _flood_inner(T, tg):
     return seen_tri, inner_points - set(tg.alphas)
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     trigon: Trigon
     inner: Bitrade  # S1: trigon triple joins its star
     outer: Bitrade  # S0: trigon triple joins its delta
@@ -322,8 +320,7 @@ def separate_trace(T, a, b, i):
     return _separate(T, a, b, i, 0)
 
 
-@dataclass(frozen=True)
-class ProductEmbedding:
+class ProductEmbedding(NamedTuple):
     factors: tuple  # (role, (label, label), Homotopy) per needed separation
     images: dict  # Label -> tuple of residues, one per factor
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import axiom_oracle
 import scan_oracle
-from bitrades import jsonio
+from bitrades import exact, groups, jsonio, solver, trigons
 from bitrades.core import (
     COL,
     PAIRS,
@@ -19,6 +19,7 @@ from bitrades.core import (
     EmptyInput,
     InternalCheckFailed,
     Label,
+    Metrics,
     Triple,
     _first_violation,
     build_bitrade,
@@ -453,3 +454,25 @@ class TestIsotopy:
 
         nested = corpus.nested_intercalate().bitrade
         assert is_isotopic(nested, corpus.example_4x5()) is None
+
+
+def test_result_records_are_named_tuples(ex45):
+    # field names and order are API: callers build the records positionally
+    records = {
+        Metrics: "size o1 o2 o3 m euler_characteristic separated spherical genus",
+        exact.SmithForm: "diagonal U V",
+        solver.PointedBitrade: "bitrade pivot",
+        solver.Homotopy: "modulus maps",
+        groups.AbelianGroupStructure: "free_rank invariant_factors",
+        groups.CanonicalImages: "structure images moduli",
+        groups.DetInvarianceReport: "common_value pairs_checked",
+        trigons.Trigon: "triple corners alphas arc_lengths",
+        trigons.Split: "trigon inner outer",
+        trigons.ProductEmbedding: "factors images",
+    }
+    for cls, fields in records.items():
+        assert issubclass(cls, tuple) and cls._fields == tuple(fields.split())
+    G = groups.presentation(ex45)
+    assert repr(G) == "AbelianGroupStructure(free_rank=2, invariant_factors=(14,))"
+    free_rank, factors = G
+    assert (free_rank, factors) == G == (2, (14,))

@@ -1,9 +1,10 @@
 import contextlib
-import dataclasses
 import gc
 import io
+import itertools
 import operator
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,7 @@ import bitrades
 import pivot_oracle
 import smith_oracle
 from bitrades import cli, corpus, solver
-from bitrades.core import COL, ROW, SYM, InternalCheckFailed, build_bitrade
+from bitrades.core import COL, ROW, SYM, InternalCheckFailed, Triple, build_bitrade
 from bitrades.exact import smith_normal_form
 from bitrades.groups import presentation
 from bitrades.solver import (
@@ -88,8 +89,19 @@ class TestSolvePointed:
         assert e.value.rank > 0
 
     def test_pivot_must_be_in_star(self, intercalate):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not a star triple"):
             PointedBitrade(intercalate, intercalate.delta[0])
+
+    def test_pivot_in_neither_set_is_refused(self, ex45):
+        # the check runs however the record is built: by keyword and by _replace
+        triples = (Triple(*labels) for labels in itertools.product(*ex45.universes))
+        outside = next(t for t in triples if t not in {*ex45.star, *ex45.delta})
+        with pytest.raises(ValueError, match=re.escape(f"pivot {outside} is not a star triple")):
+            PointedBitrade(bitrade=ex45, pivot=outside)
+        pointed = PointedBitrade(ex45, ex45.star[0])
+        with pytest.raises(ValueError, match="is not a star triple"):
+            pointed._replace(pivot=outside)
+        assert pointed._replace(pivot=ex45.star[1]) == (ex45, ex45.star[1])
 
 
 def solve_all(T, pivots):
@@ -197,8 +209,7 @@ class TestSharedElimination:
         ex45 = corpus.example_4x5()
         def zeroed(M):
             form = smith_normal_form(M)
-            form.U = [[0] * len(row) for row in form.U]
-            return form
+            return form._replace(U=[[0] * len(row) for row in form.U])
 
         monkeypatch.setattr(solver, "smith_normal_form", zeroed)
         with pytest.raises(InternalCheckFailed, match="does not fix the pivot"):
@@ -301,8 +312,7 @@ class TestSolutionMemo:
             # the kept form with 1 added to U's row 0: every solution read off it is wrong
             calls.append(S)
             labels, form = relation_smith(S)
-            return labels, dataclasses.replace(
-                form, U=[[u + 1 for u in form.U[0]], *form.U[1:]])
+            return labels, form._replace(U=[[u + 1 for u in form.U[0]], *form.U[1:]])
 
         relation_smith = solver._relation_smith
         T = fresh(ex45)

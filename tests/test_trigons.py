@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -328,8 +327,8 @@ class TestTrigonChecks:
 
     def test_path_not_simple(self, nested, nested_trigon):
         # one step past each arc's end reaches the next arc's first triple
-        overrun = replace(nested_trigon,
-                          arc_lengths=tuple(k + 1 for k in nested_trigon.arc_lengths))
+        overrun = nested_trigon._replace(
+            arc_lengths=tuple(k + 1 for k in nested_trigon.arc_lengths))
         with pytest.raises(SpliceIdentityFailure,
                            match="^path around the trigon is not simple$"):
             trigons._path_steps(nested.bitrade, overrun)
@@ -348,7 +347,6 @@ def test_trigon_checks_survive_optimize_flag():
     # under python -O a bare assert vanishes; a lemma check, the simple-path
     # check and the product collision check must not
     out = run_optimized("""
-        from dataclasses import replace
         from bitrades import corpus, trigons
         from bitrades.solver import Homotopy, PointedBitrade, solve_pointed
         assert False, "asserts are on"
@@ -369,7 +367,7 @@ def test_trigon_checks_survive_optimize_flag():
         fires(trigons.locate_trigon, sol, b, 0)
         trigons.mu = mu
         (tg,) = trigons.find_trigons(T)
-        fires(trigons._path_steps, T, replace(tg, arc_lengths=tuple(k + 1 for k in tg.arc_lengths)))
+        fires(trigons._path_steps, T, tg._replace(arc_lengths=tuple(k + 1 for k in tg.arc_lengths)))
         trigons.separate = lambda T, a, b, i: Homotopy.checked(
             T, 2, {lab: 0 for u in T.universes for lab in u})
         fires(trigons.embed_product, corpus.example_4x5())
